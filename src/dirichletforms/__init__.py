@@ -66,6 +66,7 @@ from .errors import (
     DirichletFormError,
     InconclusiveError,
     InfeasibleError,
+    InternalCheckError,
     NonConvergenceError,
     ParameterError,
     StructuralError,

@@ -2,8 +2,9 @@
 
 Subcommands: classify, capacity, hardy-weight, resolvent, green, luxemburg,
 profile, verify.  Results are emitted as a JSON envelope on stdout; witness
-tables can additionally be written as CSV.  Exit codes: usage 2,
-infeasible 3, non-convergence 4, inconclusive 5.
+tables can additionally be written as CSV.  Exit codes: verification
+failed 1, usage 2, infeasible 3, non-convergence 4, inconclusive 5,
+internal check failed 6.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .energy import (
 from .errors import (
     InconclusiveError,
     InfeasibleError,
+    InternalCheckError,
     NonConvergenceError,
     DirichletFormError,
 )
@@ -45,6 +47,7 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_NONCONVERGENCE = 4
 EXIT_INCONCLUSIVE = 5
+EXIT_INTERNAL_CHECK = 6
 
 
 def _load_problem(path: str) -> ProblemFile:
@@ -361,6 +364,9 @@ def main(argv=None) -> int:
     except InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    except InternalCheckError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_CHECK
     except DirichletFormError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

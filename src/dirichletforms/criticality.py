@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import EnergySpec, energy
-from .errors import InconclusiveError, ParameterError
+from .energy import EnergySpec, connected_components, energy
+from .errors import InconclusiveError, InternalCheckError, ParameterError
 from .modular import LuxemburgQuery, luxemburg_norm
 from .resolvent import ProxConfig, green, green_on_nonneg, perturb, prox
 from .space import weighted_lp_norm
@@ -163,7 +163,7 @@ def hardy_from_green(
     K = K_of(spec, w, cfg)
     bound = spec.space.l1_norm(g)
     if K > bound + tol * max(1.0, bound):
-        raise AssertionError(f"K(w)={K} exceeds ||g||_1={bound}")
+        raise InternalCheckError(f"K(w)={K} exceeds ||g||_1={bound}")
     return w
 
 
@@ -195,7 +195,7 @@ def synthesize_hardy_weight(
             raise InconclusiveError("perturbed Green value diverged unexpectedly")
         gwn = result.value
         if np.any(gwn < -tol) or np.any(gwn > 1.0 + tol):
-            raise AssertionError("perturbed Green value left [0, 1]")
+            raise InternalCheckError("perturbed Green value left [0, 1]")
         gwn = np.clip(gwn, 0.0, 1.0)
         W = W + 2.0**-n * w_n * (1.0 - gwn)
         if early_exit and n >= 2 and np.all(W > 0):
@@ -277,7 +277,7 @@ def invariant_set_check(
 
     numeric = energy_ok and resolvent_ok
     if analytic and not numeric:
-        raise AssertionError(
+        raise InternalCheckError(
             "analytic invariance contradicted numerically "
             f"(energy margin {worst_energy:.3e}, resolvent residual {worst_res:.3e})"
         )
@@ -290,31 +290,23 @@ def invariant_set_check(
 
 
 def _nontrivial_invariant_set(spec: EnergySpec) -> frozenset[str] | None:
-    """Smallest component of the non-boundary subgraph, if more than one."""
-    free_pts = [p for p in spec.space.points if p not in spec.boundary]
-    if len(free_pts) < 2:
-        return None
-    idx = {p: i for i, p in enumerate(free_pts)}
-    parent = list(range(len(free_pts)))
+    """Smallest component of the non-boundary subgraph, if more than one.
 
-    def root(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for e in spec.edges:
-        if e.u in idx and e.v in idx:
-            ra, rb = root(idx[e.u]), root(idx[e.v])
-            if ra != rb:
-                parent[ra] = rb
-    groups: dict[int, list[str]] = {}
-    for p, i in idx.items():
-        groups.setdefault(root(i), []).append(p)
-    if len(groups) <= 1:
+    Ties go to the component with the smallest point index.
+    """
+    free = spec.free_mask
+    m = int(np.count_nonzero(free))
+    if m < 2:
         return None
-    smallest = min(groups.values(), key=len)
-    return frozenset(smallest)
+    eu, ev, _, _ = spec._edge_arrays
+    inner = free[eu] & free[ev]
+    local = np.cumsum(free) - 1
+    comps = connected_components(m, local[eu[inner]], local[ev[inner]])
+    if len(comps) <= 1:
+        return None
+    points = np.flatnonzero(free)
+    smallest = min(comps, key=len)
+    return frozenset(spec.space.points[i] for i in points[smallest])
 
 
 def classify(

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from .errors import InfeasibleError, ParameterError, StructuralError
 from .space import MeasureSpace, lattice_ops
@@ -40,6 +42,45 @@ class KillTerm:
     point: str
     kappa: float
     exponent: float
+
+
+@dataclass(frozen=True)
+class HessianPattern:
+    """Nonzero positions of the energy Hessian plus a diagonal shift, on the
+    block of the points off the Dirichlet boundary.
+
+    ``rows`` and ``cols`` list the distinct positions in that block's own
+    numbering, sorted by column, then row, as in compressed sparse column
+    storage.
+    """
+
+    slot: np.ndarray  # raw entry -> its position, or len(rows) off the block
+    rows: np.ndarray
+    cols: np.ndarray
+
+    def fill(self, edge_values, kill_values, diagonal) -> np.ndarray:
+        """Values at the distinct positions, for curvatures ``edge_values``
+        per edge and ``kill_values`` per kill term plus ``diagonal``."""
+        raw = np.concatenate(
+            (edge_values, edge_values, -edge_values, -edge_values, kill_values, diagonal)
+        )
+        return np.bincount(self.slot, weights=raw, minlength=len(self.rows) + 1)[:-1]
+
+
+def connected_components(n: int, u: np.ndarray, v: np.ndarray) -> list[np.ndarray]:
+    """Components of the graph on 0..n-1 with edges (u[i], v[i]).
+
+    Each component is a sorted index array; components come in order of
+    their smallest index.
+    """
+    if n == 0:
+        return []
+    adjacency = sparse.coo_array((np.ones(len(u)), (u, v)), shape=(n, n))
+    _, labels = csgraph.connected_components(adjacency, directed=False)
+    members = np.argsort(labels, kind="stable")
+    comps = np.split(members, np.cumsum(np.bincount(labels))[:-1])
+    comps.sort(key=lambda c: c[0])
+    return comps
 
 
 @dataclass(frozen=True)
@@ -81,12 +122,11 @@ class EnergySpec:
 
     @cached_property
     def _edge_arrays(self):
-        n_e = len(self.edges)
         eu = np.array([self.space.index(e.u) for e in self.edges], dtype=int)
         ev = np.array([self.space.index(e.v) for e in self.edges], dtype=int)
         ew = np.array([e.weight for e in self.edges], dtype=float)
         ep = np.array([e.exponent for e in self.edges], dtype=float)
-        return eu.reshape(n_e), ev.reshape(n_e), ew, ep
+        return eu, ev, ew, ep
 
     @cached_property
     def _kill_arrays(self):
@@ -112,26 +152,29 @@ class EnergySpec:
         return max(exps, default=2.0)
 
     @cached_property
+    def _hessian_pattern(self) -> HessianPattern:
+        free = self.free_mask
+        m = int(np.count_nonzero(free))
+        local = np.cumsum(free) - 1
+        eu, ev, _, _ = self._edge_arrays
+        ki = self._kill_arrays[0]
+        diag = np.arange(self.space.n)
+        # raw entries in ``HessianPattern.fill`` order
+        rows = np.concatenate((eu, ev, eu, ev, ki, diag))
+        cols = np.concatenate((eu, ev, ev, eu, ki, diag))
+        inner = free[rows] & free[cols]
+        keys, inner_slot = np.unique(
+            local[cols[inner]] * m + local[rows[inner]], return_inverse=True
+        )
+        slot = np.full(len(rows), len(keys))
+        slot[inner] = inner_slot
+        return HessianPattern(slot, keys % m, keys // m)
+
+    @cached_property
     def components(self) -> list[np.ndarray]:
         """Connected components of the full graph, as index arrays."""
-        n = self.space.n
-        parent = list(range(n))
-
-        def root(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
         eu, ev, _, _ = self._edge_arrays
-        for a, b in zip(eu, ev):
-            ra, rb = root(int(a)), root(int(b))
-            if ra != rb:
-                parent[ra] = rb
-        groups: dict[int, list[int]] = {}
-        for i in range(n):
-            groups.setdefault(root(i), []).append(i)
-        return [np.array(sorted(g), dtype=int) for g in groups.values()]
+        return connected_components(self.space.n, eu, ev)
 
     @cached_property
     def free_components(self) -> list[np.ndarray]:

@@ -35,3 +35,13 @@ class InconclusiveError(DirichletFormError, RuntimeError):
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
+
+
+class InternalCheckError(DirichletFormError):
+    """A result failed one of the package's own consistency checks.
+
+    Raised when a computed value breaks a law it must obey (an equilibrium
+    potential leaving [0, h], two capacity formulations disagreeing, a
+    Green trace decreasing along its schedule): a defect of the solvers,
+    not of the input.
+    """

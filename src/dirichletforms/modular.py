@@ -19,7 +19,7 @@ import numpy as np
 from scipy import optimize
 
 from .energy import EnergySpec, energy, energy_gradient, _phi
-from .errors import InfeasibleError, ParameterError
+from .errors import InfeasibleError, InternalCheckError, ParameterError
 from .resolvent import ProxConfig, prox
 
 
@@ -117,7 +117,7 @@ def delta2_constant(
         e1 = energy(spec, f)
         e2 = energy(spec, 2.0 * f)
         if e2 > K * e1 + tol * max(1.0, K * e1):
-            raise AssertionError(
+            raise InternalCheckError(
                 f"doubling constant {K} violated: E(2f)={e2}, K*E(f)={K * e1}"
             )
     return K

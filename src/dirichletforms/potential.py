@@ -20,9 +20,9 @@ import numpy as np
 from scipy import optimize
 
 from .energy import EnergySpec, energy, energy_gradient
-from .errors import InfeasibleError, ParameterError
+from .errors import InfeasibleError, InternalCheckError, ParameterError
 from .modular import directional_derivative
-from .resolvent import ProxConfig, SolveReport, energy_hessian, prox
+from .resolvent import ProxConfig, SolveReport, _newton_direction, prox
 
 CONSTRAINT_TOL = 1e-8
 VALUE_TOL = 1e-6
@@ -161,16 +161,10 @@ def _constrained_minimize(
         inactive &= ~spec.boundary_mask
         if not inactive.any():
             break
-        H = energy_hessian(spec, x)
-        H[np.diag_indices_from(H)] += 1e-14 * mu
-        delta = np.zeros(n)
         grad = mu * energy_gradient(spec, x)
-        try:
-            delta[inactive] = np.linalg.solve(
-                H[np.ix_(inactive, inactive)], -grad[inactive]
-            )
-        except np.linalg.LinAlgError:
-            delta[inactive] = -r[inactive]
+        delta = _newton_direction(spec, x, 1e-14, inactive, -grad)
+        if delta is None:
+            delta = np.where(inactive, -r, 0.0)
         t = 1.0
         accepted = False
         while t > 1e-14:
@@ -194,7 +188,11 @@ def _constrained_minimize(
         x, r, rnorm = x_new, r_new, rnorm_new
         it += 1
     total_iters += it
-    report = SolveReport(iterations=total_iters, residual=rnorm, converged=True)
+    report = SolveReport(
+        iterations=total_iters,
+        residual=rnorm,
+        converged=rnorm <= cfg.residual_tolerance,
+    )
     return x, report
 
 
@@ -253,18 +251,18 @@ def equilibrium_potential(
     value = energy(spec, e)
 
     if np.any(e < -CONSTRAINT_TOL) or np.any(e > h + CONSTRAINT_TOL):
-        raise AssertionError("equilibrium potential left [0, h]")
+        raise InternalCheckError("equilibrium potential left [0, h]")
     if np.any(np.abs(e[mask] - h[mask]) > CONSTRAINT_TOL):
-        raise AssertionError("equilibrium potential != h on the target set")
+        raise InternalCheckError("equilibrium potential != h on the target set")
     for i in range(spec.space.n):
         if spec.boundary_mask[i]:
             continue
         e_i = np.zeros(spec.space.n)
         e_i[i] = 1.0
         if directional_derivative(spec, e, e_i) < -DERIVATIVE_TOL:
-            raise AssertionError("one-sided optimality failed (ascent direction)")
+            raise InternalCheckError("one-sided optimality failed (ascent direction)")
         if not mask[i] and directional_derivative(spec, e, -e_i) < -DERIVATIVE_TOL:
-            raise AssertionError("one-sided optimality failed off the target set")
+            raise InternalCheckError("one-sided optimality failed off the target set")
     return CapacityResult(float(value), e, report, h)
 
 
@@ -293,7 +291,7 @@ def capacity(
         alt_value = energy(spec, alt)
         result.report.extras["alternative_value"] = float(alt_value)
         if abs(alt_value - result.value) > VALUE_TOL * max(1.0, result.value):
-            raise AssertionError(
+            raise InternalCheckError(
                 f"capacity formulations disagree: {result.value} vs {alt_value}"
             )
     return result

@@ -4,10 +4,13 @@ The resolvent G_alpha f is the unique minimizer of
 
     g  |->  E(g) + (alpha/2) ||g - f/alpha||^2_mu,
 
-an alpha-strongly-convex problem.  The heavy lifting is done by L-BFGS-B
-(boundary coordinates pinned at 0), followed by a backtracking
-steepest-descent polish in the mu-metric until the optimality residual
-||grad E(g) + alpha g - f||_mu drops below the configured tolerance.
+an alpha-strongly-convex problem.  It is solved by damped Newton with
+backtracking on the optimality residual ||grad E(g) + alpha g - f||_mu
+(boundary coordinates pinned at 0).  Each Newton direction solves the
+Hessian system on the free coordinates: densely below a measured size,
+above it by a sparse LU of the Hessian assembled from a pattern cached on
+the spec.  When Newton stalls, L-BFGS-B takes over and Newton then polishes
+its result down to the configured tolerance.
 """
 
 from __future__ import annotations
@@ -16,11 +19,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, sparse
+from scipy.sparse.linalg import splu
 
 from .energy import EnergySpec, energy, energy_gradient, perturb
 from .errors import (
     InconclusiveError,
+    InternalCheckError,
     NonConvergenceError,
     ParameterError,
 )
@@ -51,37 +56,82 @@ class SolveReport:
 
 _CURVATURE_CAP = 1e12  # exponents below 2 have unbounded curvature at zero
 
+# Free points from which a Newton direction is found by sparse LU instead of
+# a dense solve.  Measured on paths, grids and random sparse graphs with one
+# BLAS thread: the dense solve is faster up to 100-300 points depending on
+# the graph (see CHANGES.md).
+_DENSE_MAX = 200
+
+
+def _curvatures(spec: EnergySpec, g) -> tuple[np.ndarray, np.ndarray]:
+    """Second derivatives of the edge terms and of the kill terms at g.
+
+    Capped: for exponents below 2 they blow up where an edge difference
+    (or a killed value) vanishes.
+    """
+    eu, ev, ew, ep = spec._edge_arrays
+    ki, kk, kq = spec._kill_arrays
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ce = ew * (ep - 1.0) * np.abs(g[eu] - g[ev]) ** (ep - 2.0)
+        ck = kk * (kq - 1.0) * spec.space.mu[ki] * np.abs(g[ki]) ** (kq - 2.0)
+    # fmin also maps the nan of a zero kappa times an infinite power to the cap
+    return np.fmin(ce, _CURVATURE_CAP), np.fmin(ck, _CURVATURE_CAP)
+
 
 def energy_hessian(spec: EnergySpec, g, alpha: float = 0.0) -> np.ndarray:
     """Euclidean Hessian of E(g) + (alpha/2)||g - c||^2_mu (dense).
 
-    Curvature entries are capped: for exponents below 2 the second
-    derivative blows up where an edge difference (or a killed value)
-    vanishes.
+    The solvers assemble it sparsely in ``_newton_direction``; this dense
+    form is the reference for tests.
     """
     n = spec.space.n
-    mu = spec.space.mu
     H = np.zeros((n, n))
-    eu, ev, ew, ep = spec._edge_arrays
-    if len(eu):
-        d = np.abs(g[eu] - g[ev])
-        with np.errstate(divide="ignore"):
-            c = ew * (ep - 1.0) * d ** (ep - 2.0)
-        c = np.minimum(np.nan_to_num(c, nan=_CURVATURE_CAP, posinf=_CURVATURE_CAP), _CURVATURE_CAP)
-        np.add.at(H, (eu, eu), c)
-        np.add.at(H, (ev, ev), c)
-        np.add.at(H, (eu, ev), -c)
-        np.add.at(H, (ev, eu), -c)
-    ki, kk, kq = spec._kill_arrays
-    if len(ki):
-        a = np.abs(g[ki])
-        with np.errstate(divide="ignore"):
-            c = kk * (kq - 1.0) * mu[ki] * a ** (kq - 2.0)
-        c = np.minimum(np.nan_to_num(c, nan=_CURVATURE_CAP, posinf=_CURVATURE_CAP), _CURVATURE_CAP)
-        np.add.at(H, (ki, ki), c)
+    eu, ev, _, _ = spec._edge_arrays
+    ki = spec._kill_arrays[0]
+    ce, ck = _curvatures(spec, g)
+    np.add.at(H, (eu, eu), ce)
+    np.add.at(H, (ev, ev), ce)
+    np.add.at(H, (eu, ev), -ce)
+    np.add.at(H, (ev, eu), -ce)
+    np.add.at(H, (ki, ki), ck)
     if alpha:
-        H[np.diag_indices(n)] += alpha * mu
+        H[np.diag_indices(n)] += alpha * spec.space.mu
     return H
+
+
+def _newton_direction(spec: EnergySpec, g, alpha: float, free, rhs):
+    """Solve (H + alpha M) delta = rhs on the coordinates in ``free``.
+
+    H is the energy Hessian at g and M = diag(mu); ``free`` lies inside
+    ``spec.free_mask`` and delta is 0 off it.  Returns None when the block
+    is singular.
+    """
+    pattern = spec._hessian_pattern
+    data = pattern.fill(*_curvatures(spec, g), alpha * spec.space.mu)
+    rows, cols = pattern.rows, pattern.cols
+    inside = free[spec.free_mask]
+    m = int(np.count_nonzero(inside))
+    if m < len(inside):
+        local = np.cumsum(inside) - 1
+        keep = inside[rows] & inside[cols]
+        data, rows, cols = data[keep], local[rows[keep]], local[cols[keep]]
+    delta = np.zeros(spec.space.n)
+    if m < _DENSE_MAX:
+        H = np.zeros((m, m))
+        H[rows, cols] = data
+        try:
+            delta[free] = np.linalg.solve(H, rhs[free])
+        except np.linalg.LinAlgError:
+            return None
+    else:
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=m))))
+        A = sparse.csc_array((data, rows, indptr), shape=(m, m))
+        try:
+            lu = splu(A, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError:  # SuperLU: "Factor is exactly singular"
+            return None
+        delta[free] = lu.solve(rhs[free])
+    return delta
 
 
 def _prox_objective(spec: EnergySpec, alpha: float, f: np.ndarray):
@@ -125,14 +175,9 @@ def prox(
         rnorm = math.sqrt(float(np.sum(mu * r * r)))
         it = 0
         while rnorm > cfg.residual_tolerance and it < budget:
-            H = energy_hessian(spec, g, alpha)
-            delta = np.zeros(spec.space.n)
-            try:
-                delta[free] = np.linalg.solve(
-                    H[np.ix_(free, free)], -(mu * r)[free]
-                )
-            except np.linalg.LinAlgError:
-                delta[free] = -r[free] / alpha
+            delta = _newton_direction(spec, g, alpha, free, -(mu * r))
+            if delta is None:
+                delta = np.where(free, -r / alpha, 0.0)
             t = 1.0
             accepted = False
             while t > 1e-12:
@@ -311,7 +356,7 @@ def green(
             # G_alpha f grows as alpha shrinks (f >= 0), so the sup trace
             # must be nondecreasing along the schedule
             if sup < trace[-2][1] - 1e-6 * max(1.0, trace[-2][1]):
-                raise RuntimeError(
+                raise InternalCheckError(
                     f"green trace decreased along the schedule (alpha={alpha:g})"
                 )
             if float(np.max(np.abs(g - prev))) < stop:

@@ -76,6 +76,46 @@ def path_spec(n_edges: int, p: float = 2.0, dirichlet_right: bool = True) -> Ene
     return EnergySpec(space, edges, (), boundary)
 
 
+def grid_spec(
+    side: int, seed: int, p: float = 2.0, n_kill: int = 0, n_boundary: int = 0
+) -> EnergySpec:
+    """side x side grid with random weights and measure; the first
+    ``n_boundary`` points in a seeded shuffle are Dirichlet points."""
+    rng = np.random.default_rng(seed)
+    pts = [f"g{i}_{j}" for i in range(side) for j in range(side)]
+    edges = []
+    for i in range(side):
+        for j in range(side):
+            k = i * side + j
+            if j + 1 < side:
+                edges.append(Edge(pts[k], pts[k + 1], float(rng.uniform(0.5, 2.0)), p))
+            if i + 1 < side:
+                edges.append(Edge(pts[k], pts[k + side], float(rng.uniform(0.5, 2.0)), p))
+    chosen = rng.permutation(len(pts))
+    boundary = frozenset(pts[int(i)] for i in chosen[:n_boundary])
+    kill = tuple(
+        KillTerm(pts[int(i)], float(rng.uniform(0.5, 2.0)), p)
+        for i in chosen[n_boundary : n_boundary + n_kill]
+    )
+    space = MeasureSpace(tuple(pts), rng.uniform(0.5, 2.0, size=len(pts)))
+    return EnergySpec(space, tuple(edges), kill, boundary)
+
+
+def sparse_random_spec(seed: int) -> EnergySpec:
+    """Random, often disconnected graph with repeated edges and a few
+    Dirichlet points, for structural tests."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))
+    pts = tuple(f"v{i}" for i in range(n))
+    edges = []
+    for _ in range(int(rng.integers(0, n + 3))):
+        i, j = rng.integers(0, n, size=2)
+        if i != j:
+            edges.append(Edge(pts[int(i)], pts[int(j)], 1.0, 2.0))
+    boundary = frozenset(p for p in pts if rng.random() < 0.15)
+    return EnergySpec(MeasureSpace(pts, np.ones(n)), tuple(edges), (), boundary)
+
+
 def single_vertex_spec(kappa: float = 1.0, q: float = 2.0, mu: float = 1.0) -> EnergySpec:
     space = MeasureSpace(("x",), np.array([mu]))
     return EnergySpec(space, (), (KillTerm("x", kappa, q),))

@@ -130,6 +130,15 @@ def test_exit_inconclusive(problem_path, capsys):
     capsys.readouterr()
 
 
+def test_exit_internal_check(problem_path, capsys, monkeypatch):
+    # an ascent direction at the equilibrium potential is a solver defect
+    monkeypatch.setattr(
+        "dirichletforms.potential.directional_derivative", lambda spec, f, g: -1.0
+    )
+    assert main(["capacity", problem_path, "--set", "a"]) == 6
+    assert "internal check failed" in capsys.readouterr().err
+
+
 def test_defaults_from_problem_file(tmp_path, capsys):
     doc = json.loads(json.dumps(PROBLEM))
     doc["defaults"] = {"tol": 1e-12, "max_iterations": 0}

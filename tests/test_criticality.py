@@ -19,7 +19,13 @@ from dirichletforms import (
     weak_hardy_profile,
     weak_poincare_profile,
 )
-from conftest import path_spec, random_connected_spec, single_vertex_spec
+from dirichletforms.criticality import _nontrivial_invariant_set
+from conftest import (
+    path_spec,
+    random_connected_spec,
+    single_vertex_spec,
+    sparse_random_spec,
+)
 
 
 def test_K_single_vertex_closed_form():
@@ -83,6 +89,24 @@ def test_invariant_set_detection():
     assert check["invariant"] and check["numeric"]
     check2 = invariant_set_check(spec, {"a", "c"})
     assert not check2["invariant"]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_nontrivial_invariant_set_matches_networkx(seed):
+    nx = pytest.importorskip("networkx")
+    spec = sparse_random_spec(seed)
+    G = nx.Graph()
+    G.add_nodes_from(p for p in spec.space.points if p not in spec.boundary)
+    G.add_edges_from(
+        (e.u, e.v) for e in spec.edges if e.u in G and e.v in G
+    )
+    comps = sorted(
+        (sorted(c, key=spec.space.index) for c in nx.connected_components(G)),
+        key=lambda c: spec.space.index(c[0]),
+    )
+    # smallest component, ties to the one holding the smallest point index
+    want = frozenset(min(comps, key=len)) if len(comps) > 1 else None
+    assert _nontrivial_invariant_set(spec) == want
 
 
 def test_invariance_modulo_boundary():

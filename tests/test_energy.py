@@ -23,6 +23,7 @@ from conftest import (
     central_difference_gradient,
     random_connected_spec,
     single_vertex_spec,
+    sparse_random_spec,
     two_vertex_spec,
 )
 
@@ -107,6 +108,17 @@ def test_kernel_basis_free_components():
     assert len(basis) == 1
     assert np.allclose(basis[0], [1.0, 1.0, 0.0, 0.0])
     assert energy(spec, 7.0 * basis[0]) == 0.0
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_components_match_networkx(seed):
+    nx = pytest.importorskip("networkx")
+    spec = sparse_random_spec(seed)
+    G = nx.MultiGraph()
+    G.add_nodes_from(range(spec.space.n))
+    G.add_edges_from((spec.space.index(e.u), spec.space.index(e.v)) for e in spec.edges)
+    want = sorted((sorted(c) for c in nx.connected_components(G)), key=lambda c: c[0])
+    assert [c.tolist() for c in spec.components] == want
 
 
 def test_contraction_battery_valid():

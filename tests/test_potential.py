@@ -20,6 +20,8 @@ from dirichletforms import (
     green_on_nonneg,
     is_excessive,
 )
+from dirichletforms.potential import _constrained_minimize
+from dirichletforms.resolvent import ProxConfig
 from conftest import path_spec, random_connected_spec
 
 
@@ -83,6 +85,24 @@ def test_capacity_formulations_agree():
     res = capacity(spec, {"v1"}, np.ones(5))
     alt = res.report.extras["alternative_value"]
     assert alt == pytest.approx(res.value, rel=1e-6, abs=1e-6)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_capacity_report_converged_agrees_with_residual(seed):
+    spec = random_connected_spec(6, seed=seed, n_kill=2, p_range=(1.8, 3.0))
+    cfg = ProxConfig()
+    res = capacity(spec, {"v1", "v3"}, np.ones(6), cfg)
+    assert res.report.converged == (res.report.residual <= cfg.residual_tolerance)
+
+
+def test_constrained_minimize_reports_unconverged_polish():
+    spec = random_connected_spec(6, seed=1, n_kill=2, p_range=(1.8, 3.0))
+    lower = np.full(6, -np.inf)
+    lower[1] = 1.0
+    cfg = ProxConfig(residual_tolerance=1e-300)
+    _, report = _constrained_minimize(spec, lower, None, cfg, np.ones(6), max_polish=0)
+    assert report.residual > cfg.residual_tolerance
+    assert report.converged is False
 
 
 def test_capacity_monotone_in_obstacle():

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from dirichletforms import (
+    Edge,
+    EnergySpec,
     InconclusiveError,
+    KillTerm,
+    MeasureSpace,
     NonConvergenceError,
     ParameterError,
     ProxConfig,
@@ -16,9 +20,10 @@ from dirichletforms import (
     resolvent_identity_check,
 )
 from dirichletforms.energy import energy, energy_gradient
-from dirichletforms.resolvent import energy_hessian
+from dirichletforms.resolvent import _DENSE_MAX, _newton_direction, energy_hessian
 from conftest import (
     green_oracle,
+    grid_spec,
     path_spec,
     prox_oracle,
     random_connected_spec,
@@ -97,6 +102,99 @@ def test_energy_hessian_matches_gradient_difference():
             - spec.space.mu * energy_gradient(spec, g0 - e)
         ) / (2 * h)
         assert np.allclose(H[:, i], col, rtol=1e-4, atol=1e-4)
+
+
+def _weighted_path(n_points: int, seed: int, p: float) -> EnergySpec:
+    """Path with random weights, one kill and a Dirichlet right end."""
+    rng = np.random.default_rng(seed)
+    pts = tuple(f"x{i}" for i in range(n_points))
+    edges = tuple(
+        Edge(pts[i], pts[i + 1], float(rng.uniform(0.5, 2.0)), p)
+        for i in range(n_points - 1)
+    )
+    kill = (KillTerm(pts[0], 1.0, p),)
+    space = MeasureSpace(pts, rng.uniform(0.5, 2.0, size=n_points))
+    return EnergySpec(space, edges, kill, frozenset({pts[-1]}))
+
+
+def _direction_specs(p: float, large: bool):
+    """Path, grid and random specs with kill and boundary, either below or
+    above the dense/sparse crossover."""
+    n = 4 * _DENSE_MAX if large else _DENSE_MAX // 4
+    side = int(math.isqrt(n))
+    return [
+        _weighted_path(n, seed=1, p=p),
+        grid_spec(side, seed=2, p=p, n_kill=2, n_boundary=3),
+        random_connected_spec(n, seed=3, p_range=(p, p), n_kill=3, n_boundary=2),
+    ]
+
+
+def _dense_direction(spec, g, alpha, free, rhs):
+    H = energy_hessian(spec, g, alpha)
+    delta = np.zeros(spec.space.n)
+    delta[free] = np.linalg.solve(H[np.ix_(free, free)], rhs[free])
+    return delta
+
+
+@pytest.mark.parametrize("large", [False, True])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_newton_direction_matches_dense_solve(p, large):
+    rng = np.random.default_rng(7)
+    for spec in _direction_specs(p, large):
+        n = spec.space.n
+        g = spec.project_feasible(rng.normal(size=n))
+        rhs = rng.normal(size=n)
+        inactive = spec.free_mask & (rng.random(n) < 0.7)
+        for alpha, free in ((1.3, spec.free_mask), (1e-14, spec.free_mask), (0.5, inactive)):
+            got = _newton_direction(spec, g, alpha, free, rhs)
+            want = _dense_direction(spec, g, alpha, free, rhs)
+            assert np.all(got[~free] == 0.0)
+            err = np.linalg.norm(got - want) / np.linalg.norm(want)
+            assert err <= 1e-10, (spec.space.n, alpha, int(free.sum()), err)
+
+
+@pytest.mark.parametrize("n_points", [_DENSE_MAX // 4, 4 * _DENSE_MAX])
+def test_newton_direction_at_curvature_cap(n_points):
+    # p = 1.5 at the zero field: every curvature is infinite and capped, and
+    # the kill term with kappa = 0 gives 0 * inf
+    path = _weighted_path(n_points, seed=5, p=1.5)
+    kill = path.kill + (KillTerm("x1", 0.0, 1.5),)
+    spec = EnergySpec(path.space, path.edges, kill, path.boundary)
+    g = np.zeros(n_points)
+    rhs = np.random.default_rng(5).normal(size=n_points)
+    free = spec.free_mask
+    delta = _newton_direction(spec, g, 1.0, free, rhs)
+    assert delta is not None and np.all(np.isfinite(delta))
+    A = energy_hessian(spec, g, 1.0)[np.ix_(free, free)]
+    backward = np.linalg.norm(A @ delta[free] - rhs[free]) / (
+        np.linalg.norm(A, 1) * np.linalg.norm(delta[free]) + np.linalg.norm(rhs)
+    )
+    assert backward <= 1e-12
+
+
+@pytest.mark.parametrize("n_points", [_DENSE_MAX // 4, 4 * _DENSE_MAX])
+def test_newton_direction_singular_block_returns_none(n_points):
+    # an isolated point without kill has an all-zero row when unshifted
+    path = path_spec(n_points - 2, dirichlet_right=False)
+    space = MeasureSpace(path.space.points + ("lonely",), np.ones(n_points))
+    spec = EnergySpec(space, path.edges, (KillTerm("0", 1.0, 2.0),))
+    g = np.linspace(0.0, 1.0, n_points)
+    free = np.ones(n_points, dtype=bool)
+    assert _newton_direction(spec, g, 0.0, free, np.ones(n_points)) is None
+
+
+@pytest.mark.parametrize("kind", ["path", "random"])
+def test_prox_at_2000_points_matches_linear_oracle(kind):
+    if kind == "path":
+        spec = _weighted_path(2000, seed=11, p=2.0)
+    else:
+        spec = random_connected_spec(1998, seed=11, n_kill=3, n_boundary=2)
+    rng = np.random.default_rng(11)
+    f = spec.project_feasible(rng.normal(size=spec.space.n))
+    g, report = prox(spec, 1.0, f)
+    assert report.converged
+    want = prox_oracle(spec, 1.0, f)
+    assert np.max(np.abs(g - want)) <= 1e-8 * max(1.0, float(np.max(np.abs(want))))
 
 
 def test_resolvent_identity():
