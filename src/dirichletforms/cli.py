@@ -50,9 +50,11 @@ EXIT_INCONCLUSIVE = 5
 EXIT_INTERNAL_CHECK = 6
 
 
-def _load_problem(path: str) -> ProblemFile:
-    with open(path) as fh:
-        return parse_problem(fh.read())
+def _load(args) -> tuple[ProblemFile, EnergySpec, ProxConfig]:
+    """The problem file, the spec its validation built, and the solver config."""
+    with open(args.problem) as fh:
+        problem = parse_problem(fh.read())
+    return problem, problem.spec, _cfg(problem, args)
 
 
 def _tol(problem: ProblemFile, args) -> float:
@@ -95,9 +97,7 @@ def _emit(args, envelope: dict, tables: dict | None = None):
 
 
 def cmd_classify(args) -> int:
-    problem = _load_problem(args.problem)
-    spec = problem.to_energy_spec()
-    cfg = _cfg(problem, args)
+    problem, spec, cfg = _load(args)
     report = criticality.classify(spec, cfg, n_terms=args.terms, seed=args.seed)
     tables = {}
     result = {"verdict": report.verdict.value, "witness_pending": report.witness_pending}
@@ -115,9 +115,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_capacity(args) -> int:
-    problem = _load_problem(args.problem)
-    spec = problem.to_energy_spec()
-    cfg = _cfg(problem, args)
+    problem, spec, cfg = _load(args)
     target = set(args.set.split(",")) if args.set else set()
     h = _field_from_arg(spec, args.h, default=1.0)
     res = potential.capacity(spec, target, h, cfg)
@@ -138,9 +136,7 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_hardy_weight(args) -> int:
-    problem = _load_problem(args.problem)
-    spec = problem.to_energy_spec()
-    cfg = _cfg(problem, args)
+    problem, spec, cfg = _load(args)
     seed_w = np.ones(spec.space.n) / spec.space.total_mass()
     W = criticality.synthesize_hardy_weight(spec, seed_w, n_terms=args.terms, cfg=cfg)
     K = criticality.K_of(spec, W, cfg)
@@ -156,9 +152,7 @@ def cmd_hardy_weight(args) -> int:
 
 
 def cmd_resolvent(args) -> int:
-    problem = _load_problem(args.problem)
-    spec = problem.to_energy_spec()
-    cfg = _cfg(problem, args)
+    problem, spec, cfg = _load(args)
     f = _field_from_arg(spec, args.field)
     g, report = resolvent.prox(spec, args.alpha0, f, cfg)
     tables = {"resolvent": spec.space.as_dict(g)}
@@ -178,9 +172,7 @@ def cmd_resolvent(args) -> int:
 
 
 def cmd_green(args) -> int:
-    problem = _load_problem(args.problem)
-    spec = problem.to_energy_spec()
-    cfg = _cfg(problem, args)
+    problem, spec, cfg = _load(args)
     f = _field_from_arg(spec, args.field)
     value = resolvent.green_on_nonneg(
         spec,
@@ -203,8 +195,7 @@ def cmd_green(args) -> int:
 
 
 def cmd_luxemburg(args) -> int:
-    problem = _load_problem(args.problem)
-    spec = problem.to_energy_spec()
+    problem, spec, _ = _load(args)
     f = _field_from_arg(spec, args.field)
     query = modular.LuxemburgQuery(r=args.r, lambda_tolerance=_tol(problem, args))
     value = modular.luxemburg_norm(spec, f, query)
@@ -219,8 +210,7 @@ def cmd_luxemburg(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    problem = _load_problem(args.problem)
-    spec = problem.to_energy_spec()
+    problem, spec, _ = _load(args)
     r_grid = [float(r) for r in args.r_grid.split(",")]
     w = _field_from_arg(spec, args.weight, default=1.0)
     if args.kind == "hardy":
@@ -248,9 +238,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    problem = _load_problem(args.problem)
-    spec = problem.to_energy_spec()
-    cfg = _cfg(problem, args)
+    problem, spec, cfg = _load(args)
     rng = np.random.default_rng(args.seed)
     checks: dict[str, bool] = {}
 

@@ -80,6 +80,31 @@ def _local_ascent_ratio(spec, w, f0, evals, rng, lux_tol=1e-10):
     return best, best_f
 
 
+def _unit_K_scale(spec: EnergySpec, w, cfg: ProxConfig, c_lo, c_hi, rtol: float) -> float:
+    """inf{C : K(w / C) <= 1} to relative tolerance ``rtol``.
+
+    K(w / C) decreases in C.  ``c_hi`` is doubled until K(w / c_hi) <= 1
+    (up to 1e12); a ``c_lo`` of None is found by halving from there until
+    K(w / c_lo) > 1 (down to 1e-12).  Bisection then closes the bracket and
+    returns its upper end, at which K(w / C) <= 1.
+    """
+    while K_of(spec, w / c_hi, cfg) > 1.0 and c_hi < 1e12:
+        c_hi *= 2.0
+    if c_lo is None:
+        c_lo = c_hi
+        while c_lo > 1e-12 and K_of(spec, w / c_lo, cfg) <= 1.0:
+            c_lo /= 2.0
+    for _ in range(60):
+        if c_hi - c_lo <= rtol * c_hi:
+            break
+        mid = 0.5 * (c_lo + c_hi)
+        if K_of(spec, w / mid, cfg) <= 1.0:
+            c_hi = mid
+        else:
+            c_lo = mid
+    return c_hi
+
+
 def hardy_optimal_constant(
     spec: EnergySpec,
     w,
@@ -120,22 +145,7 @@ def hardy_optimal_constant(
     if not math.isfinite(mu_hat) or mu_hat <= 0:
         return {"mu_hat": 0.0, "K_tilde": None, "pass": False, "witness": None}
 
-    # K(w/C) is monotone decreasing in C; bisect for K_tilde
-    c_hi = max(mu_hat, 1e-6)
-    while K_of(spec, w / c_hi, cfg) > 1.0 and c_hi < 1e12:
-        c_hi *= 2.0
-    c_lo = c_hi
-    while c_lo > 1e-12 and K_of(spec, w / c_lo, cfg) <= 1.0:
-        c_lo /= 2.0
-    for _ in range(60):
-        if c_hi - c_lo <= 1e-9 * c_hi:
-            break
-        mid = 0.5 * (c_lo + c_hi)
-        if K_of(spec, w / mid, cfg) <= 1.0:
-            c_hi = mid
-        else:
-            c_lo = mid
-    K_tilde = c_hi
+    K_tilde = _unit_K_scale(spec, w, cfg, None, max(mu_hat, 1e-6), 1e-9)
 
     ok_a = K_of(spec, w / mu_hat, cfg) <= 1.0 + tol
     ok_b = mu_hat <= 2.0 * K_tilde + tol
@@ -350,17 +360,7 @@ def classify(
         K = K_of(spec, W, cfg)
         diagnostics["K_raw"] = K
         if K > 1.0:
-            c_lo, c_hi = 1.0, max(2.0, 2.0 * K)
-            while K_of(spec, W / c_hi, cfg) > 1.0 and c_hi < 1e12:
-                c_hi *= 2.0
-            for _ in range(60):
-                if c_hi - c_lo <= 1e-6 * c_hi:
-                    break
-                mid = 0.5 * (c_lo + c_hi)
-                if K_of(spec, W / mid, cfg) <= 1.0:
-                    c_hi = mid
-                else:
-                    c_lo = mid
+            c_hi = _unit_K_scale(spec, W, cfg, 1.0, max(2.0, 2.0 * K), 1e-6)
             W = W / c_hi
             diagnostics["rescale"] = c_hi
         diagnostics["K_witness"] = K_of(spec, W, cfg)
@@ -407,6 +407,34 @@ def _profile_battery(spec: EnergySpec, rng, budget: int):
     return battery
 
 
+def _battery_profile(spec: EnergySpec, r_grid, search_budget, seed, lux_tol, terms):
+    """alpha(r) = max over the battery of (numerator - r * penalty) / ||f||_L.
+
+    ``terms(f)`` returns the numerator and the penalty scale of a field.
+    The profile is made nonincreasing in r, and each value keeps the field
+    that achieved it as its certificate.
+    """
+    battery = _profile_battery(spec, np.random.default_rng(seed), search_budget)
+    r_grid = [float(r) for r in r_grid]
+    alphas = [0.0] * len(r_grid)
+    certs: list[np.ndarray | None] = [None] * len(r_grid)
+    for f in battery:
+        nl = luxemburg_norm(spec, f)
+        if nl <= lux_tol or math.isinf(nl):
+            continue
+        num, penalty = terms(f)
+        for i, r in enumerate(r_grid):
+            val = (num - r * penalty) / nl
+            if val > alphas[i]:
+                alphas[i] = val
+                certs[i] = f
+    running = math.inf
+    for i, a in enumerate(alphas):
+        running = a if i == 0 else min(running, a)
+        alphas[i] = running
+    return HardyProfile(r_grid, alphas, "battery+certificates", certs)
+
+
 def weak_hardy_profile(
     spec: EnergySpec,
     w,
@@ -432,28 +460,11 @@ def weak_hardy_profile(
         raise ParameterError(
             "weak_hardy_profile requires a trivial seminorm kernel"
         )
-    rng = np.random.default_rng(seed)
-    battery = _profile_battery(spec, rng, search_budget)
-    r_grid = [float(r) for r in r_grid]
-    alphas = [0.0] * len(r_grid)
-    certs: list[np.ndarray | None] = [None] * len(r_grid)
-    for f in battery:
-        nl = luxemburg_norm(spec, f)
-        if nl <= lux_tol or math.isinf(nl):
-            continue
-        num = weighted_lp_norm(spec.space, f, p, w)
-        sup = float(np.max(np.abs(f)))
-        for i, r in enumerate(r_grid):
-            val = (num - r * sup) / nl
-            if val > alphas[i]:
-                alphas[i] = val
-                certs[i] = f
-    # enforce monotone nonincreasing in r
-    running = math.inf
-    for i, a in enumerate(alphas):
-        running = a if i == 0 else min(running, a)
-        alphas[i] = running
-    return HardyProfile(r_grid, alphas, "battery+certificates", certs)
+
+    def terms(f):
+        return weighted_lp_norm(spec.space, f, p, w), float(np.max(np.abs(f)))
+
+    return _battery_profile(spec, r_grid, search_budget, seed, lux_tol, terms)
 
 
 def weak_poincare_profile(
@@ -482,26 +493,11 @@ def weak_poincare_profile(
         raise ParameterError(
             "weak_poincare_profile requires kernel = span{1} (critical irreducible)"
         )
-    rng = np.random.default_rng(seed)
     w_mass = float(np.sum(spec.space.mu * w))
-    battery = _profile_battery(spec, rng, search_budget)
-    r_grid = [float(r) for r in r_grid]
-    alphas = [0.0] * len(r_grid)
-    certs: list[np.ndarray | None] = [None] * len(r_grid)
-    for f in battery:
-        nl = luxemburg_norm(spec, f)
-        if nl <= lux_tol or math.isinf(nl):
-            continue
+
+    def terms(f):
         fbar = float(np.sum(spec.space.mu * w * f)) / w_mass
         num = weighted_lp_norm(spec.space, f - fbar, p, w)
-        osc = float(np.max(f) - np.min(f))
-        for i, r in enumerate(r_grid):
-            val = (num - r * osc) / nl
-            if val > alphas[i]:
-                alphas[i] = val
-                certs[i] = f
-    running = math.inf
-    for i, a in enumerate(alphas):
-        running = a if i == 0 else min(running, a)
-        alphas[i] = running
-    return HardyProfile(r_grid, alphas, "battery+certificates", certs)
+        return num, float(np.max(f) - np.min(f))
+
+    return _battery_profile(spec, r_grid, search_budget, seed, lux_tol, terms)

@@ -16,11 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
-from .energy import EnergySpec, energy, energy_gradient, _phi
+from .energy import EnergySpec, energy, _phi
 from .errors import InfeasibleError, InternalCheckError, ParameterError
-from .resolvent import ProxConfig, prox
+from .resolvent import ProxConfig, _require_converged, _solve_shifted, prox
 
 
 @dataclass(frozen=True)
@@ -154,75 +153,35 @@ class ConjugateResult:
     diverged: bool
 
 
+# the maximizer is solved to 1e-10 in the mu-norm of phi - E'(x)
+_CONJUGATE_CFG = ProxConfig(residual_tolerance=1e-10)
+
+
 def convex_conjugate(
     spec: EnergySpec,
     phi,
-    budget: int = 2000,
     x0=None,
     magnitude_threshold: float = 1e8,
-    polish_tol: float = 1e-10,
 ) -> ConjugateResult:
     """E*(phi) = sup_x <phi, x>_mu - E(x).
 
     Divergence (+inf) happens exactly when phi pairs nontrivially with the
     kernel of E; for the graph family that is checked analytically, with
-    the iterate-magnitude threshold kept as a safety net.
+    the iterate-magnitude threshold kept as a safety net.  Otherwise the
+    maximizer solves E'(x) = phi: the shifted-energy core at alpha = 0.
     """
     phi = spec.space.check_field(phi)
-    mu = spec.space.mu
     scale = max(1.0, float(np.max(np.abs(phi), initial=0.0)))
     for k in spec.kernel_basis:
         if abs(spec.space.inner(phi, k)) > 1e-12 * scale * spec.space.total_mass():
             return ConjugateResult(math.inf, None, True)
 
-    bounds = [(0.0, 0.0) if b else (None, None) for b in spec.boundary_mask]
-
-    def fun(x):
-        val = spec.space.inner(phi, x) - energy(spec, x)
-        grad = mu * (phi - energy_gradient(spec, x))
-        return -val, -grad
-
-    x0 = np.zeros(spec.space.n) if x0 is None else spec.project_feasible(x0)
-    res = optimize.minimize(
-        fun,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={"maxiter": budget, "ftol": 1e-18, "gtol": 1e-14},
-    )
-    x = spec.project_feasible(res.x)
+    x, report = _solve_shifted(spec, 0.0, phi, None, None, x0, _CONJUGATE_CFG)
     if float(np.max(np.abs(x), initial=0.0)) > magnitude_threshold:
         return ConjugateResult(math.inf, None, True)
-
-    # ascent polish in the mu-metric to tighten the maximizer
-    def grad_mu(x):
-        g = phi - energy_gradient(spec, x)
-        g[spec.boundary_mask] = 0.0
-        return g
-
-    val = spec.space.inner(phi, x) - energy(spec, x)
-    g = grad_mu(x)
-    step = 1.0
-    for _ in range(budget):
-        gnorm2 = float(np.sum(mu * g * g))
-        if math.sqrt(gnorm2) <= polish_tol:
-            break
-        t = step
-        improved = False
-        while t > 1e-18:
-            x_new = spec.project_feasible(x + t * g)
-            v_new = spec.space.inner(phi, x_new) - energy(spec, x_new)
-            if v_new >= val + 1e-4 * t * gnorm2:
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-        x, val = x_new, v_new
-        step = min(t * 2.0, 1e6)
-        g = grad_mu(x)
-    return ConjugateResult(float(val), x, False)
+    _require_converged("conjugate maximizer", x, report, _CONJUGATE_CFG)
+    value = spec.space.inner(phi, x) - energy(spec, x)
+    return ConjugateResult(float(value), x, False)
 
 
 def duality_recover(

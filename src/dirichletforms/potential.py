@@ -7,7 +7,9 @@ obstacle problem
     cap_h(A) = min{ E(f) : f >= h on A },
 
 whose minimizer, truncated at h, is the equilibrium potential e_A with
-E(e_A) = cap_h(A).
+E(e_A) = cap_h(A).  Obstacle problems are solved by the shifted-energy core
+of ``resolvent`` at alpha = 0: projected damped Newton on the active set,
+with one bounded L-BFGS-B run should Newton stall.
 """
 
 from __future__ import annotations
@@ -17,12 +19,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
-from .energy import EnergySpec, energy, energy_gradient
+from .energy import EnergySpec, energy
 from .errors import InfeasibleError, InternalCheckError, ParameterError
 from .modular import directional_derivative
-from .resolvent import ProxConfig, SolveReport, _newton_direction, prox
+from .resolvent import (
+    ProxConfig,
+    SolveReport,
+    _require_converged,
+    _solve_shifted,
+    prox,
+)
 
 CONSTRAINT_TOL = 1e-8
 VALUE_TOL = 1e-6
@@ -91,111 +98,6 @@ def is_excessive(
     return passed, margins
 
 
-def _constrained_minimize(
-    spec: EnergySpec,
-    lower: np.ndarray | None,
-    upper: np.ndarray | None,
-    cfg: ProxConfig,
-    x0: np.ndarray,
-    eps_stages=(1e-4, 1e-6, 0.0),
-    max_polish: int = 20_000,
-):
-    """Minimize E over a box, with Tikhonov continuation for flat directions.
-
-    ``lower`` / ``upper`` are per-coordinate bounds (-inf/+inf where free);
-    boundary coordinates are always pinned to 0.
-    """
-    n = spec.space.n
-    mu = spec.space.mu
-    lo = np.full(n, -np.inf) if lower is None else lower.copy()
-    hi = np.full(n, np.inf) if upper is None else upper.copy()
-    lo[spec.boundary_mask] = 0.0
-    hi[spec.boundary_mask] = 0.0
-    if np.any(lo > hi):
-        raise InfeasibleError("constraint box is empty on the boundary")
-    bounds = list(zip(np.where(np.isinf(lo), None, lo), np.where(np.isinf(hi), None, hi)))
-
-    def clip(x):
-        return np.clip(x, lo, hi)
-
-    x = clip(x0)
-    total_iters = 0
-    for eps in eps_stages:
-        def fun(z, eps=eps):
-            val = energy(spec, z) + 0.5 * eps * float(np.sum(mu * z**2))
-            grad = mu * (energy_gradient(spec, z) + eps * z)
-            return val, grad
-
-        res = optimize.minimize(
-            fun,
-            x,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": 4000, "ftol": 1e-18, "gtol": 1e-14},
-        )
-        x = clip(res.x)
-        # scipy omits nit when every variable is pinned by equal bounds
-        total_iters += int(getattr(res, "nit", 0))
-
-    # active-set Newton polish at eps = 0
-    bound_tol = 1e-12
-
-    def projected_residual(z):
-        r = energy_gradient(spec, z).copy()
-        r[spec.boundary_mask] = 0.0
-        at_lo = (z <= lo + bound_tol) & (r > 0)
-        at_hi = (z >= hi - bound_tol) & (r < 0)
-        r[at_lo] = 0.0
-        r[at_hi] = 0.0
-        return r
-
-    x = clip(x)
-    r = projected_residual(x)
-    rnorm = math.sqrt(float(np.sum(mu * r * r)))
-    it = 0
-    while rnorm > cfg.residual_tolerance and it < max_polish:
-        inactive = (np.abs(r) > 0) | (
-            (x > lo + bound_tol) & (x < hi - bound_tol) & ~spec.boundary_mask
-        )
-        inactive &= ~spec.boundary_mask
-        if not inactive.any():
-            break
-        grad = mu * energy_gradient(spec, x)
-        delta = _newton_direction(spec, x, 1e-14, inactive, -grad)
-        if delta is None:
-            delta = np.where(inactive, -r, 0.0)
-        t = 1.0
-        accepted = False
-        while t > 1e-14:
-            x_new = clip(x + t * delta)
-            r_new = projected_residual(x_new)
-            rnorm_new = math.sqrt(float(np.sum(mu * r_new * r_new)))
-            if rnorm_new < rnorm * (1.0 - cfg.armijo * t) or (
-                energy(spec, x_new) < energy(spec, x) and rnorm_new < rnorm
-            ):
-                accepted = True
-                break
-            t *= cfg.shrink
-        if not accepted:
-            # projected-gradient fallback step
-            t = 1e-2
-            x_new = clip(x - t * r)
-            r_new = projected_residual(x_new)
-            rnorm_new = math.sqrt(float(np.sum(mu * r_new * r_new)))
-            if rnorm_new >= rnorm:
-                break
-        x, r, rnorm = x_new, r_new, rnorm_new
-        it += 1
-    total_iters += it
-    report = SolveReport(
-        iterations=total_iters,
-        residual=rnorm,
-        converged=rnorm <= cfg.residual_tolerance,
-    )
-    return x, report
-
-
 def excessive_envelope(
     spec: EnergySpec, g, A, cfg: ProxConfig = ProxConfig()
 ) -> tuple[np.ndarray, SolveReport]:
@@ -211,11 +113,11 @@ def excessive_envelope(
         )
     lower = np.full(spec.space.n, -np.inf)
     lower[mask] = g[mask]
-    trial = spec.project_feasible(np.maximum(g, 0.0) * mask)
-    if math.isinf(energy(spec, np.clip(trial, lower, np.inf))):
-        raise InfeasibleError("no finite-energy field dominates the obstacle")
-    x0 = np.maximum(trial, 0.0)
-    return _constrained_minimize(spec, lower, None, cfg, x0)
+    # start at the obstacle: a plateau of E such as the constant h = 1 on a
+    # critical spec is then optimal at once, not approached along flat
+    # directions
+    x0 = spec.project_feasible(np.maximum(g, 0.0))
+    return _solve_shifted(spec, 0.0, np.zeros(spec.space.n), lower, None, x0, cfg)
 
 
 @dataclass
@@ -247,6 +149,7 @@ def equilibrium_potential(
         return CapacityResult(0.0, zero, SolveReport(0, 0.0, True), h)
 
     envelope, report = excessive_envelope(spec, h, O, cfg)
+    _require_converged("obstacle solve", envelope, report, cfg)
     e = np.minimum(envelope, h)
     value = energy(spec, e)
 
@@ -287,7 +190,10 @@ def capacity(
         x0 = np.where(mask, h, 0.0)
         if np.any(mask & spec.boundary_mask & (np.abs(h) > 0)):
             raise InfeasibleError("alternative formulation infeasible on boundary")
-        alt, _ = _constrained_minimize(spec, lower, upper, cfg, x0)
+        alt, alt_report = _solve_shifted(
+            spec, 0.0, np.zeros(spec.space.n), lower, upper, x0, cfg
+        )
+        _require_converged("obstacle solve", alt, alt_report, cfg)
         alt_value = energy(spec, alt)
         result.report.extras["alternative_value"] = float(alt_value)
         if abs(alt_value - result.value) > VALUE_TOL * max(1.0, result.value):

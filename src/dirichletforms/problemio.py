@@ -40,6 +40,8 @@ class ProblemFile:
     kill: list[dict]
     boundary: list[str]
     defaults: dict = field(default_factory=dict)
+    # the EnergySpec that parse_problem built to validate the file
+    spec: EnergySpec | None = field(default=None, init=False, repr=False, compare=False)
 
     def to_energy_spec(self) -> EnergySpec:
         space = MeasureSpace(
@@ -147,7 +149,7 @@ def parse_problem(text: str) -> ProblemFile:
         boundary=[p for p in points if p in set(boundary)],
         defaults=dict(defaults),
     )
-    problem.to_energy_spec()  # enforce all construction invariants now
+    problem.spec = problem.to_energy_spec()  # enforce all construction invariants now
     return problem
 
 

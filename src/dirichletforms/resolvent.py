@@ -1,16 +1,23 @@
 """Proximal resolvents, perturbed resolvents, and the Green operator.
 
-The resolvent G_alpha f is the unique minimizer of
+Every solve in the package is one problem,
 
-    g  |->  E(g) + (alpha/2) ||g - f/alpha||^2_mu,
+    minimize  E(g) + (alpha/2) ||g||^2_mu - <f, g>_mu  over  lo <= g <= hi
 
-an alpha-strongly-convex problem.  It is solved by damped Newton with
-backtracking on the optimality residual ||grad E(g) + alpha g - f||_mu
-(boundary coordinates pinned at 0).  Each Newton direction solves the
-Hessian system on the free coordinates: densely below a measured size,
-above it by a sparse LU of the Hessian assembled from a pattern cached on
-the spec.  When Newton stalls, L-BFGS-B takes over and Newton then polishes
-its result down to the configured tolerance.
+(boundary coordinates pinned at 0), and one private core solves it:
+``_solve_shifted``.  The resolvent G_alpha f is its unboxed case with
+alpha > 0; the obstacle problems of ``potential`` and the convex conjugate
+of ``modular`` are cases with alpha = 0.  The core is a projected damped
+Newton method with an active set: backtracking on the optimality residual
+||grad E(g) + alpha g - f||_mu, zeroed where a bound holds the coordinate.
+Each Newton direction solves the Hessian system on the free coordinates:
+densely below a measured size, above it by a sparse LU of the Hessian
+assembled from a pattern cached on the spec.  When Newton stalls, one
+L-BFGS-B run over the box takes over and Newton then polishes its result
+down to the configured tolerance.  For alpha > 0 the residual bounds the
+error by residual / alpha; at alpha = 0 it bounds nothing where E is flat
+(near constants, or at p > 2), so there the last Newton step must be below
+the tolerance too.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from scipy.sparse.linalg import splu
 from .energy import EnergySpec, energy, energy_gradient, perturb
 from .errors import (
     InconclusiveError,
+    InfeasibleError,
     InternalCheckError,
     NonConvergenceError,
     ParameterError,
@@ -61,6 +69,9 @@ _CURVATURE_CAP = 1e12  # exponents below 2 have unbounded curvature at zero
 # BLAS thread: the dense solve is faster up to 100-300 points depending on
 # the graph (see CHANGES.md).
 _DENSE_MAX = 200
+
+# a coordinate within this distance of a bound counts as on it
+_BOUND_TOL = 1e-12
 
 
 def _curvatures(spec: EnergySpec, g) -> tuple[np.ndarray, np.ndarray]:
@@ -134,12 +145,36 @@ def _newton_direction(spec: EnergySpec, g, alpha: float, free, rhs):
     return delta
 
 
-def _prox_objective(spec: EnergySpec, alpha: float, f: np.ndarray):
-    mu = spec.space.mu
-    target = f / alpha
+def _solve_shifted(
+    spec: EnergySpec, alpha: float, f, lo, hi, x0, cfg: ProxConfig
+) -> tuple[np.ndarray, SolveReport]:
+    """Minimize E(g) + (alpha/2)||g||^2_mu - <f, g>_mu over lo <= g <= hi.
 
-    def value(g):
-        return energy(spec, g) + 0.5 * alpha * float(np.sum(mu * (g - target) ** 2))
+    ``lo`` / ``hi`` are per-coordinate bounds (None: unbounded); boundary
+    coordinates are pinned at 0, and ``x0`` (None: 0) is clipped into the
+    box.  Damped Newton on the projected residual r = grad E + alpha g - f,
+    zeroed where a bound holds the coordinate, steps on the free set: the
+    non-boundary coordinates off their bounds or with a nonzero projected
+    residual.  If Newton stalls, one bounded L-BFGS-B run restarts it.  The
+    report's ``converged`` compares the mu-norm of the projected residual
+    with the tolerance; at alpha = 0 Newton also goes on until its last
+    step is below the tolerance.
+    """
+    n = spec.space.n
+    mu = spec.space.mu
+    lo = np.full(n, -np.inf) if lo is None else np.array(lo, dtype=float)
+    hi = np.full(n, np.inf) if hi is None else np.array(hi, dtype=float)
+    lo[spec.boundary_mask] = 0.0
+    hi[spec.boundary_mask] = 0.0
+    if np.any(lo > hi):
+        raise InfeasibleError("constraint box is empty on the boundary")
+    lo_in, hi_in = lo + _BOUND_TOL, hi - _BOUND_TOL
+    # with no bound off the boundary, projection and clipping change nothing
+    free_mask = spec.free_mask
+    boxed = bool(np.isfinite(lo[free_mask]).any() or np.isfinite(hi[free_mask]).any())
+    # at alpha = 0 a tiny shift keeps flat directions of E solvable
+    shift = alpha if alpha > 0 else 1e-14
+    tol = cfg.residual_tolerance
 
     def residual(g):
         # mu-representation of the objective gradient, zero on boundary
@@ -147,7 +182,88 @@ def _prox_objective(spec: EnergySpec, alpha: float, f: np.ndarray):
         r[spec.boundary_mask] = 0.0
         return r
 
-    return value, residual
+    def projected(g):
+        r = residual(g)
+        if boxed:
+            r[((g <= lo_in) & (r > 0)) | ((g >= hi_in) & (r < 0))] = 0.0
+        return r, math.sqrt(float(np.sum(mu * r * r)))
+
+    def done(rnorm, step):
+        # for alpha > 0 the residual bounds the error by rnorm / alpha; at
+        # alpha = 0 it bounds nothing where E is flat (near constants, or at
+        # p > 2), so the last step, which estimates the error, must be below
+        # the tolerance as well
+        return rnorm <= tol and (alpha > 0 or step <= tol)
+
+    def newton(g, budget):
+        r, rnorm = projected(g)
+        it, step = 0, math.inf
+        while not done(rnorm, step) and it < budget:
+            free = free_mask
+            if boxed:
+                free = free & ((r != 0) | ((g > lo_in) & (g < hi_in)))
+            delta = _newton_direction(spec, g, shift, free, -(mu * r))
+            if delta is None:  # singular block: the shift's own Newton step
+                delta = np.where(free, -r / (alpha or 1.0), 0.0)
+            t = 1.0
+            while True:
+                g_new = g + t * delta
+                if boxed:
+                    np.clip(g_new, lo, hi, out=g_new)
+                r_new, rnorm_new = projected(g_new)
+                if rnorm_new < rnorm * (1.0 - cfg.armijo * t):
+                    break
+                t *= cfg.shrink
+                # below the tolerance only full steps refine the iterate
+                if t <= 1e-12 or rnorm <= tol:
+                    return g, rnorm, it
+            step = math.sqrt(float(np.sum(mu * (g_new - g) ** 2)))
+            g, r, rnorm = g_new, r_new, rnorm_new
+            it += 1
+        return g, rnorm, it
+
+    g = np.zeros(n) if x0 is None else spec.space.check_field(x0)
+    g, rnorm, it = newton(np.clip(g, lo, hi), min(60, cfg.max_iterations))
+
+    if rnorm > tol:
+
+        def fun(x):
+            value = energy(spec, x) + float(np.sum(mu * x * (0.5 * alpha * x - f)))
+            return value, mu * residual(x)
+
+        res = optimize.minimize(
+            fun,
+            g,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=optimize.Bounds(lo, hi),
+            options={
+                "maxiter": min(2000, cfg.max_iterations),
+                "ftol": 1e-18,
+                "gtol": 1e-14,
+            },
+        )
+        # scipy omits nit when every variable is pinned by equal bounds
+        it += int(getattr(res, "nit", 0))
+        g, rnorm, it2 = newton(np.clip(res.x, lo, hi), cfg.max_iterations)
+        it += it2
+
+    report = SolveReport(
+        iterations=it,
+        residual=rnorm,
+        converged=rnorm <= tol,
+    )
+    return g, report
+
+
+def _require_converged(what: str, g, report: SolveReport, cfg: ProxConfig):
+    if not report.converged:
+        raise NonConvergenceError(
+            f"{what} did not reach residual {cfg.residual_tolerance} "
+            f"(got {report.residual:.3e} after {report.iterations} iterations)",
+            best=g,
+            report=report,
+        )
 
 
 def prox(
@@ -161,75 +277,8 @@ def prox(
     if not alpha > 0:
         raise ParameterError("alpha must be > 0")
     f = spec.space.check_field(f)
-    mu = spec.space.mu
-    value, residual = _prox_objective(spec, alpha, f)
-
-    if x0 is None:
-        x0 = np.zeros(spec.space.n)
-    g = spec.project_feasible(x0)
-
-    def newton(g, budget):
-        # damped Newton with backtracking on the optimality residual
-        free = spec.free_mask
-        r = residual(g)
-        rnorm = math.sqrt(float(np.sum(mu * r * r)))
-        it = 0
-        while rnorm > cfg.residual_tolerance and it < budget:
-            delta = _newton_direction(spec, g, alpha, free, -(mu * r))
-            if delta is None:
-                delta = np.where(free, -r / alpha, 0.0)
-            t = 1.0
-            accepted = False
-            while t > 1e-12:
-                g_new = spec.project_feasible(g + t * delta)
-                r_new = residual(g_new)
-                rnorm_new = math.sqrt(float(np.sum(mu * r_new * r_new)))
-                if rnorm_new < rnorm * (1.0 - cfg.armijo * t):
-                    accepted = True
-                    break
-                t *= cfg.shrink
-            if not accepted:
-                break
-            g, r, rnorm = g_new, r_new, rnorm_new
-            it += 1
-        return g, rnorm, it
-
-    g, rnorm, it = newton(g, min(60, cfg.max_iterations))
-
-    if rnorm > cfg.residual_tolerance:
-        bounds = [(0.0, 0.0) if b else (None, None) for b in spec.boundary_mask]
-
-        def fun(x):
-            return value(x), mu * residual(x)
-
-        res = optimize.minimize(
-            fun,
-            g,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={
-                "maxiter": min(2000, cfg.max_iterations),
-                "ftol": 1e-18,
-                "gtol": 1e-14,
-            },
-        )
-        it += int(getattr(res, "nit", 0))
-        g, rnorm, it2 = newton(spec.project_feasible(res.x), cfg.max_iterations)
-        it += it2
-
-    report = SolveReport(
-        iterations=it,
-        residual=rnorm,
-        converged=rnorm <= cfg.residual_tolerance,
-    )
-    if not report.converged:
-        raise NonConvergenceError(
-            f"prox did not reach residual {cfg.residual_tolerance} "
-            f"(got {rnorm:.3e} after {it} iterations)",
-            best=g,
-            report=report,
-        )
+    g, report = _solve_shifted(spec, alpha, f, None, None, x0, cfg)
+    _require_converged("prox", g, report, cfg)
     return g, report
 
 
@@ -410,7 +459,10 @@ def green_on_nonneg(
             else:
                 out[comp] = 0.0
             continue
-        sub, idx = _restrict(spec, comp)
+        if len(comp) == spec.space.n:
+            sub, idx = spec, comp
+        else:
+            sub, idx = _restrict(spec, comp)
         result = green(
             sub,
             f[idx],

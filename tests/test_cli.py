@@ -6,6 +6,7 @@ import pytest
 from dirichletforms import StructuralError, prox
 from dirichletforms.cli import main
 from dirichletforms.problemio import (
+    ProblemFile,
     input_digest,
     parse_problem,
     serialize_problem,
@@ -80,6 +81,33 @@ def test_stdout_deterministic_across_runs(problem_path, capsys):
     envelope = json.loads(first)
     assert envelope["command"] == "classify"
     assert envelope["result"]["verdict"] == "Subcritical"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify"],
+        ["capacity", "--set", "a"],
+        ["hardy-weight", "--terms", "3"],
+        ["resolvent", "--field", "1"],
+        ["green", "--field", "1"],
+        ["luxemburg", "--field", "1"],
+        ["profile", "--budget", "4"],
+        ["verify"],
+    ],
+)
+def test_each_command_builds_the_spec_once(argv, problem_path, monkeypatch, capsys):
+    calls = []
+    build = ProblemFile.to_energy_spec
+
+    def counting(self):
+        calls.append(1)
+        return build(self)
+
+    monkeypatch.setattr(ProblemFile, "to_energy_spec", counting)
+    assert main([argv[0], problem_path, *argv[1:]]) in (0, 1)  # verify may fail
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_resolvent_delegates_to_library(problem_path, capsys):
@@ -171,6 +199,12 @@ def test_profile_command(problem_path, capsys):
     envelope = json.loads(capsys.readouterr().out)
     alphas = envelope["result"]["alpha_of_r"]
     assert len(alphas) == 2 and alphas[1] <= alphas[0] + 1e-12
+
+
+def test_every_command_rejects_a_nonpositive_tolerance(problem_path):
+    # profile does not solve, but it validates the solver settings too
+    assert main(["profile", problem_path, "--tol", "0"]) == 2
+    assert main(["classify", problem_path, "--tol", "0"]) == 2
 
 
 def test_hardy_weight_command(problem_path, capsys):

@@ -177,6 +177,18 @@ def test_weak_hardy_profile_preconditions():
         weak_hardy_profile(sub, np.ones(4), 0.5, [0.1])
 
 
+def test_weak_poincare_profile_screens_out_constant_potentials():
+    # on a critical spec every equilibrium potential with h = 1 is the
+    # constant 1, a kernel field; it must not reach the profile as a
+    # certificate through solver error
+    spec = random_connected_spec(8, seed=4, p_range=(1.5, 3.0))
+    w = np.random.default_rng(0).uniform(0.5, 1.0, 8)
+    profile = weak_poincare_profile(spec, w, 2.0, [0.1, 0.5, 1.0], search_budget=12)
+    for cert in profile.certificates:
+        assert np.max(cert) - np.min(cert) > 1e-3
+    assert profile.alpha_of_r[2] == pytest.approx(0.16299622443726355, rel=1e-9)
+
+
 def test_weak_poincare_profile_runs_on_critical():
     spec = random_connected_spec(5, seed=7)
     profile = weak_poincare_profile(spec, np.ones(5), 2.0, [0.1, 0.5, 1.0], seed=0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from dirichletforms import (
     InfeasibleError,
@@ -18,6 +20,7 @@ from dirichletforms import (
 )
 from conftest import (
     path_spec,
+    quadratic_matrix,
     random_connected_spec,
     single_vertex_spec,
     two_vertex_spec,
@@ -133,6 +136,20 @@ def test_conjugate_diverges_on_kernel_pairing():
     # orthogonal to the kernel: finite
     res2 = convex_conjugate(spec, np.array([1.0, -1.0]))
     assert not res2.diverged and math.isfinite(res2.value)
+
+
+def test_conjugate_at_300_points_matches_sparse_solve():
+    # E(x) = x^T K x / 2 at p = 2, so E*(phi) = (M phi)^T K^{-1} (M phi) / 2
+    spec = random_connected_spec(300, seed=21, n_kill=3, n_boundary=2)
+    phi = spec.project_feasible(np.random.default_rng(21).normal(size=spec.space.n))
+    free = spec.free_mask
+    K = sparse.csc_array(quadratic_matrix(spec)[np.ix_(free, free)])
+    b = (spec.space.mu * phi)[free]
+    x = spsolve(K, b)
+    res = convex_conjugate(spec, phi)
+    assert not res.diverged
+    assert res.value == pytest.approx(0.5 * b @ x, rel=1e-10)
+    assert np.max(np.abs(res.maximizer[free] - x)) <= 1e-8 * max(1.0, np.max(np.abs(x)))
 
 
 def test_fenchel_young_inequality():

@@ -9,6 +9,7 @@ from dirichletforms import (
     EnergySpec,
     InfeasibleError,
     MeasureSpace,
+    NonConvergenceError,
     ParameterError,
     capacity,
     capacity_zero_property,
@@ -20,9 +21,9 @@ from dirichletforms import (
     green_on_nonneg,
     is_excessive,
 )
-from dirichletforms.potential import _constrained_minimize
-from dirichletforms.resolvent import ProxConfig
-from conftest import path_spec, random_connected_spec
+from dirichletforms import resolvent
+from dirichletforms.resolvent import ProxConfig, _solve_shifted
+from conftest import grid_spec, path_spec, quadratic_matrix, random_connected_spec
 
 
 def test_constant_is_excessive_without_kill():
@@ -74,6 +75,15 @@ def test_equilibrium_potential_properties():
     assert ok, margins
 
 
+@pytest.mark.parametrize("target", [{"v3"}, {"v0"}, {"v0", "v1", "v2", "v3", "v5", "v7"}])
+def test_equilibrium_potential_on_a_critical_spec_is_constant(target):
+    # no kill and no boundary: the constant h = 1 has energy 0, so e = 1
+    spec = random_connected_spec(8, seed=4, p_range=(1.5, 3.0))
+    res = equilibrium_potential(spec, target, np.ones(8))
+    assert np.max(np.abs(res.equilibrium - 1.0)) <= 1e-10
+    assert res.value <= 1e-12
+
+
 def test_empty_set_has_zero_capacity():
     spec = random_connected_spec(4, seed=3, n_kill=1)
     res = capacity(spec, frozenset(), np.ones(4))
@@ -100,9 +110,76 @@ def test_constrained_minimize_reports_unconverged_polish():
     lower = np.full(6, -np.inf)
     lower[1] = 1.0
     cfg = ProxConfig(residual_tolerance=1e-300)
-    _, report = _constrained_minimize(spec, lower, None, cfg, np.ones(6), max_polish=0)
+    _, report = _solve_shifted(spec, 0.0, np.zeros(6), lower, None, np.ones(6), cfg)
     assert report.residual > cfg.residual_tolerance
     assert report.converged is False
+
+
+def test_capacity_raises_when_the_obstacle_solve_does_not_converge():
+    spec = random_connected_spec(6, seed=1, n_kill=2, p_range=(1.8, 3.0))
+    cfg = ProxConfig(residual_tolerance=1e-300)
+    with pytest.raises(NonConvergenceError) as exc:
+        capacity(spec, {"v1"}, np.ones(6), cfg)
+    assert exc.value.report.converged is False
+
+
+def _count_splu(monkeypatch) -> list:
+    calls = []
+    real = resolvent.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(resolvent, "splu", counting)
+    return calls
+
+
+def test_capacity_400_point_path_series_resistance(monkeypatch):
+    # more free points than the dense limit: the Newton steps factor sparsely
+    n = 399
+    splu_calls = _count_splu(monkeypatch)
+    res = capacity(path_spec(n), {"0"}, np.ones(n + 1))
+    assert splu_calls
+    assert res.value == pytest.approx(1.0 / (2.0 * n), rel=1e-10)
+    assert np.allclose(res.equilibrium, 1.0 - np.arange(n + 1) / n, atol=1e-8)
+
+
+def test_capacity_at_p_1_5_on_a_300_point_path(monkeypatch):
+    # equal weights carry equal differences: e = 1 - i/n, cap = n^(1-p) / p
+    n, p = 300, 1.5
+    splu_calls = _count_splu(monkeypatch)
+    res = capacity(path_spec(n, p=p), {"0"}, np.ones(n + 1))
+    assert splu_calls
+    assert res.report.converged
+    assert res.value == pytest.approx(n ** (1.0 - p) / p, rel=1e-10)
+    assert np.allclose(res.equilibrium, 1.0 - np.arange(n + 1) / n, atol=1e-10)
+
+
+def test_capacity_at_p_1_5_on_a_250_point_random_spec(monkeypatch):
+    spec = random_connected_spec(250, seed=5, p_range=(1.5, 1.5), n_kill=4, n_boundary=3)
+    splu_calls = _count_splu(monkeypatch)
+    res = capacity(spec, {"v0", "v3", "v10"}, np.ones(spec.space.n))
+    assert splu_calls
+    assert res.report.converged
+    assert res.value == pytest.approx(res.report.extras["alternative_value"], rel=1e-12)
+
+
+def test_capacity_on_a_grid_matches_direct_solve(monkeypatch):
+    spec = grid_spec(20, seed=3, n_kill=3, n_boundary=4)
+    target = {"g5_5", "g5_6", "g12_14"}
+    splu_calls = _count_splu(monkeypatch)
+    res = capacity(spec, target, np.ones(spec.space.n))
+    assert splu_calls
+
+    # harmonic extension of 1 on the target, 0 on the boundary
+    A = quadratic_matrix(spec)
+    on = np.array([p in target for p in spec.space.points])
+    rest = spec.free_mask & ~on
+    u = on.astype(float)
+    u[rest] = np.linalg.solve(A[np.ix_(rest, rest)], -A[np.ix_(rest, on)] @ u[on])
+    assert np.max(np.abs(res.equilibrium - u)) <= 1e-9
+    assert res.value == pytest.approx(0.5 * u @ A @ u, rel=1e-9)
 
 
 def test_capacity_monotone_in_obstacle():

@@ -20,7 +20,14 @@ from dirichletforms import (
     resolvent_identity_check,
 )
 from dirichletforms.energy import energy, energy_gradient
-from dirichletforms.resolvent import _DENSE_MAX, _newton_direction, energy_hessian
+from dirichletforms import resolvent
+from dirichletforms.resolvent import (
+    _DENSE_MAX,
+    _newton_direction,
+    _restrict,
+    _solve_shifted,
+    energy_hessian,
+)
 from conftest import (
     green_oracle,
     grid_spec,
@@ -273,6 +280,60 @@ def test_green_matches_linear_oracle():
     f = rng.uniform(0.0, 1.0, size=spec.space.n)
     out = green_on_nonneg(spec, f)
     assert np.max(np.abs(out - green_oracle(spec, f))) < 1e-6
+
+
+def test_green_on_whole_graph_component_builds_no_sub_spec(monkeypatch):
+    spec = random_connected_spec(12, seed=13, n_kill=2, n_boundary=1)
+    assert len(spec.components) == 1
+    f = np.random.default_rng(13).uniform(0.0, 1.0, size=spec.space.n)
+    sub, idx = _restrict(spec, np.arange(spec.space.n))
+    expected = green(sub, f[idx]).value
+
+    def no_restrict(*args):
+        raise AssertionError("sub-spec built for a whole-graph component")
+
+    monkeypatch.setattr(resolvent, "_restrict", no_restrict)
+    out = green_on_nonneg(spec, f)
+    assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_solve_shifted_box_with_both_bounds_active(alpha):
+    spec = random_connected_spec(30, seed=17, p_range=(1.8, 3.0), n_kill=3, n_boundary=2)
+    rng = np.random.default_rng(17)
+    n = spec.space.n
+    f = spec.project_feasible(rng.normal(scale=3.0, size=n))
+    lo = np.full(n, -0.2)
+    hi = np.full(n, 0.3)
+    lo[0], hi[0] = 1.0, 2.0
+    g, report = _solve_shifted(spec, alpha, f, lo, hi, np.zeros(n), CFG)
+    assert report.converged
+    assert np.all(g[spec.boundary_mask] == 0.0)
+    assert np.all(g >= lo - 1e-12) and np.all(g <= hi + 1e-12)
+
+    # KKT: zero gradient inside the box, multipliers pushing inward on it
+    r = energy_gradient(spec, g) + alpha * g - f
+    free = spec.free_mask
+    at_lo = free & (g <= lo + 1e-12)
+    at_hi = free & (g >= hi - 1e-12)
+    inside = free & ~at_lo & ~at_hi
+    assert np.max(np.abs(r[inside])) <= 1e-8
+    assert np.all(r[at_lo] >= -1e-8) and np.all(r[at_hi] <= 1e-8)
+    # both kinds of bound hold some coordinate with a nonzero multiplier
+    assert np.any(at_lo & (r > 1e-6)) and np.any(at_hi & (r < -1e-6))
+
+
+def test_solve_shifted_bounds_the_error_where_e_is_flat():
+    # E = |a - b|^3 / 3 with a held at 1: the minimizer is b = 1, where the
+    # Hessian vanishes, so the residual (b - 1)^2 reads 1e-9 at an error of
+    # 3e-5; the stop test on the step brings the error below the tolerance
+    spec = two_vertex_spec(p=3.0)
+    lo = np.array([1.0, -np.inf])
+    hi = np.array([1.0, np.inf])
+    g, report = _solve_shifted(spec, 0.0, np.zeros(2), lo, hi, np.array([1.0, 0.0]), CFG)
+    assert report.converged
+    assert g[0] == 1.0
+    assert abs(g[1] - 1.0) <= CFG.residual_tolerance
 
 
 def test_green_trace_monotone_and_finite():
