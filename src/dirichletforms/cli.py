@@ -1,10 +1,15 @@
 """Command-line interface.
 
 Subcommands: classify, capacity, hardy-weight, resolvent, green, luxemburg,
-profile, verify.  Results are emitted as a JSON envelope on stdout; witness
-tables can additionally be written as CSV.  Exit codes: verification
-failed 1, usage 2, infeasible 3, non-convergence 4, inconclusive 5,
-internal check failed 6.
+profile, verify.  One table, ``COMMANDS``, drives them all: each entry
+names its handler (``(args, spec, cfg) -> result dict``), its help, the
+result keys that ``--csv`` writes as witness tables, and the flags the
+handler reads.  Every subcommand takes ``--seed``, ``--tol`` and
+``--max-iter``; ``--csv`` goes only to the subcommands with tables, and
+every other flag only to the subcommands that read it.  Results are
+emitted as a JSON envelope on stdout.  Exit codes: verification failed 1,
+usage 2, infeasible 3, non-convergence 4, inconclusive 5, internal check
+failed 6.
 """
 
 from __future__ import annotations
@@ -12,9 +17,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -51,25 +57,19 @@ EXIT_INTERNAL_CHECK = 6
 
 
 def _load(args) -> tuple[ProblemFile, EnergySpec, ProxConfig]:
-    """The problem file, the spec its validation built, and the solver config."""
+    """The problem file, the spec its validation built, and the solver config.
+
+    Solver configuration: flags win, then problem defaults, then built-ins.
+    """
     with open(args.problem) as fh:
         problem = parse_problem(fh.read())
-    return problem, problem.spec, _cfg(problem, args)
-
-
-def _tol(problem: ProblemFile, args) -> float:
-    if args.tol is not None:
-        return args.tol
-    return float(problem.defaults.get("tol", 1e-9))
-
-
-def _cfg(problem: ProblemFile, args) -> ProxConfig:
-    """Solver configuration: flags win, then problem defaults, then built-ins."""
+    tol = args.tol if args.tol is not None else float(problem.defaults.get("tol", 1e-9))
     if args.max_iter is not None:
         max_iter = args.max_iter
     else:
         max_iter = int(problem.defaults.get("max_iterations", 20_000))
-    return ProxConfig(residual_tolerance=_tol(problem, args), max_iterations=max_iter)
+    cfg = ProxConfig(residual_tolerance=tol, max_iterations=max_iter)
+    return problem, problem.spec, cfg
 
 
 def _field_from_arg(spec: EnergySpec, arg: str | None, default=0.0):
@@ -81,164 +81,82 @@ def _field_from_arg(spec: EnergySpec, arg: str | None, default=0.0):
     return spec.space.field(values)
 
 
-def _write_csv(path: str, tables: dict[str, dict[str, float]]):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["table", "point", "value"])
-        for name, table in tables.items():
-            for point, value in table.items():
-                writer.writerow([name, point, value])
-
-
-def _emit(args, envelope: dict, tables: dict | None = None):
-    if args.csv and tables:
-        _write_csv(args.csv, tables)
-    sys.stdout.write(envelope_to_json(envelope))
-
-
-def cmd_classify(args) -> int:
-    problem, spec, cfg = _load(args)
+def _classify(args, spec, cfg) -> dict:
     report = criticality.classify(spec, cfg, n_terms=args.terms, seed=args.seed)
-    tables = {}
     result = {"verdict": report.verdict.value, "witness_pending": report.witness_pending}
     if report.hardy_weight is not None:
-        tables["hardy_weight"] = spec.space.as_dict(report.hardy_weight)
-        result["hardy_weight"] = tables["hardy_weight"]
+        result["hardy_weight"] = spec.space.as_dict(report.hardy_weight)
         result["K_witness"] = report.diagnostics.get("K_witness")
     if report.invariant_set is not None:
         result["invariant_set"] = sorted(report.invariant_set)
     if report.kernel_scales is not None:
         result["kernel_scales"] = report.kernel_scales
-    envelope = make_envelope("classify", problem, args.seed, result=result)
-    _emit(args, envelope, tables)
-    return 0
+    return result
 
 
-def cmd_capacity(args) -> int:
-    problem, spec, cfg = _load(args)
+def _capacity(args, spec, cfg) -> dict:
     target = set(args.set.split(",")) if args.set else set()
     h = _field_from_arg(spec, args.h, default=1.0)
     res = potential.capacity(spec, target, h, cfg)
-    tables = {"equilibrium": spec.space.as_dict(res.equilibrium)}
-    envelope = make_envelope(
-        "capacity",
-        problem,
-        args.seed,
-        result={
-            "capacity": res.value,
-            "target": sorted(target),
-            "equilibrium": tables["equilibrium"],
-            "alternative_value": res.report.extras.get("alternative_value"),
-        },
-    )
-    _emit(args, envelope, tables)
-    return 0
+    return {
+        "capacity": res.value,
+        "target": sorted(target),
+        "equilibrium": spec.space.as_dict(res.equilibrium),
+        "alternative_value": res.report.extras.get("alternative_value"),
+    }
 
 
-def cmd_hardy_weight(args) -> int:
-    problem, spec, cfg = _load(args)
+def _hardy_weight(args, spec, cfg) -> dict:
     seed_w = np.ones(spec.space.n) / spec.space.total_mass()
     W = criticality.synthesize_hardy_weight(spec, seed_w, n_terms=args.terms, cfg=cfg)
     K = criticality.K_of(spec, W, cfg)
-    tables = {"hardy_weight": spec.space.as_dict(W)}
-    envelope = make_envelope(
-        "hardy-weight",
-        problem,
-        args.seed,
-        result={"hardy_weight": tables["hardy_weight"], "K": K, "terms": args.terms},
-    )
-    _emit(args, envelope, tables)
-    return 0
+    return {"hardy_weight": spec.space.as_dict(W), "K": K, "terms": args.terms}
 
 
-def cmd_resolvent(args) -> int:
-    problem, spec, cfg = _load(args)
+def _resolvent(args, spec, cfg) -> dict:
     f = _field_from_arg(spec, args.field)
     g, report = resolvent.prox(spec, args.alpha0, f, cfg)
-    tables = {"resolvent": spec.space.as_dict(g)}
-    envelope = make_envelope(
-        "resolvent",
-        problem,
-        args.seed,
-        result={
-            "alpha": args.alpha0,
-            "resolvent": tables["resolvent"],
-            "iterations": report.iterations,
-            "residual": report.residual,
-        },
-    )
-    _emit(args, envelope, tables)
-    return 0
+    return {
+        "alpha": args.alpha0,
+        "resolvent": spec.space.as_dict(g),
+        "iterations": report.iterations,
+        "residual": report.residual,
+    }
 
 
-def cmd_green(args) -> int:
-    problem, spec, cfg = _load(args)
+def _green(args, spec, cfg) -> dict:
     f = _field_from_arg(spec, args.field)
     value = resolvent.green_on_nonneg(
-        spec,
-        f,
-        cfg,
-        alpha0=args.alpha0,
-        depth=args.schedule_depth,
+        spec, f, cfg, alpha0=args.alpha0, depth=args.schedule_depth,
         divergence_threshold=args.divergence_threshold,
     )
-    finite = bool(np.all(np.isfinite(value)))
-    tables = {"green": spec.space.as_dict(value)}
-    envelope = make_envelope(
-        "green",
-        problem,
-        args.seed,
-        result={"finite": finite, "green": tables["green"]},
-    )
-    _emit(args, envelope, tables)
-    return 0
+    return {"finite": bool(np.all(np.isfinite(value))), "green": spec.space.as_dict(value)}
 
 
-def cmd_luxemburg(args) -> int:
-    problem, spec, _ = _load(args)
+def _luxemburg(args, spec, cfg) -> dict:
     f = _field_from_arg(spec, args.field)
-    query = modular.LuxemburgQuery(r=args.r, lambda_tolerance=_tol(problem, args))
-    value = modular.luxemburg_norm(spec, f, query)
-    envelope = make_envelope(
-        "luxemburg",
-        problem,
-        args.seed,
-        result={"norm": value, "r": args.r},
-    )
-    _emit(args, envelope)
-    return 0
+    query = modular.LuxemburgQuery(r=args.r, lambda_tolerance=cfg.residual_tolerance)
+    return {"norm": modular.luxemburg_norm(spec, f, query), "r": args.r}
 
 
-def cmd_profile(args) -> int:
-    problem, spec, _ = _load(args)
+def _profile(args, spec, cfg) -> dict:
     r_grid = [float(r) for r in args.r_grid.split(",")]
     w = _field_from_arg(spec, args.weight, default=1.0)
     if args.kind == "hardy":
-        profile = criticality.weak_hardy_profile(
-            spec, w, args.p, r_grid, search_budget=args.budget, seed=args.seed
-        )
+        weak_profile = criticality.weak_hardy_profile
     else:
-        profile = criticality.weak_poincare_profile(
-            spec, w, args.p, r_grid, search_budget=args.budget, seed=args.seed
-        )
-    envelope = make_envelope(
-        "profile",
-        problem,
-        args.seed,
-        result={
-            "kind": args.kind,
-            "p": args.p,
-            "r_grid": profile.r_grid,
-            "alpha_of_r": profile.alpha_of_r,
-            "method": profile.estimation_method,
-        },
-    )
-    _emit(args, envelope)
-    return 0
+        weak_profile = criticality.weak_poincare_profile
+    profile = weak_profile(spec, w, args.p, r_grid, search_budget=args.budget, seed=args.seed)
+    return {
+        "kind": args.kind,
+        "p": args.p,
+        "r_grid": profile.r_grid,
+        "alpha_of_r": profile.alpha_of_r,
+        "method": profile.estimation_method,
+    }
 
 
-def cmd_verify(args) -> int:
-    problem, spec, cfg = _load(args)
+def _verify(args, spec, cfg) -> dict:
     rng = np.random.default_rng(args.seed)
     checks: dict[str, bool] = {}
 
@@ -263,13 +181,63 @@ def cmd_verify(args) -> int:
         spec, 1.0, [(fields[0], fields[1]), (fields[2], fields[3])], cfg
     )
     checks["markov"] = markov["pass"]
+    return {"pass": all(checks.values()), "checks": checks}
 
-    passed = all(checks.values())
-    envelope = make_envelope(
-        "verify", problem, args.seed, result={"pass": passed, "checks": checks}
-    )
-    _emit(args, envelope)
-    return 0 if passed else 1
+
+@dataclass(frozen=True)
+class Command:
+    run: Callable[[argparse.Namespace, EnergySpec, ProxConfig], dict]
+    help: str
+    tables: tuple[str, ...] = ()  # result keys that --csv writes
+    flags: tuple[str, ...] = ()  # keys of FLAGS that ``run`` reads
+
+
+# every flag read by some subcommand, beyond the shared --seed, --tol, --max-iter
+FLAGS = {
+    "--terms": dict(type=int, default=20),
+    "--alpha0": dict(type=float, default=1.0),
+    "--schedule-depth": dict(type=int, default=40),
+    "--divergence-threshold": dict(type=float, default=1e8),
+    "--set": dict(required=True, help="comma-separated point list"),
+    "--h": dict(help="reference field as JSON (default constant 1)"),
+    "--field": dict(help="input field as JSON map or scalar"),
+    "--r": dict(type=float, default=1.0, help="level parameter"),
+    "--kind": dict(choices=("hardy", "poincare"), default="hardy"),
+    "--p": dict(type=float, default=1.0),
+    "--r-grid": dict(default="0.1,0.2,0.5,1.0"),
+    "--weight": dict(help="weight field as JSON map or scalar"),
+    "--budget": dict(type=int, default=40),
+}
+
+COMMANDS = {
+    "classify": Command(
+        _classify, "criticality classification", ("hardy_weight",), ("--terms",)
+    ),
+    "capacity": Command(
+        _capacity, "capacity of a point set", ("equilibrium",), ("--set", "--h")
+    ),
+    "hardy-weight": Command(
+        _hardy_weight, "synthesize a Hardy weight", ("hardy_weight",), ("--terms",)
+    ),
+    "resolvent": Command(
+        _resolvent, "proximal resolvent G_alpha f", ("resolvent",), ("--field", "--alpha0")
+    ),
+    "green": Command(
+        _green,
+        "Green operator on a nonnegative field",
+        ("green",),
+        ("--field", "--alpha0", "--schedule-depth", "--divergence-threshold"),
+    ),
+    "luxemburg": Command(
+        _luxemburg, "Luxemburg seminorm of a field", flags=("--field", "--r")
+    ),
+    "profile": Command(
+        _profile,
+        "weak Hardy / Poincare profile",
+        flags=("--kind", "--p", "--r-grid", "--weight", "--budget"),
+    ),
+    "verify": Command(_verify, "run the property suite on a problem"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,62 +247,36 @@ def build_parser() -> argparse.ArgumentParser:
         "Luxemburg seminorms, criticality and capacity.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("problem", help="path to a JSON problem file")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--max-iter", type=int, default=None)
-        p.add_argument("--alpha0", type=float, default=1.0)
-        p.add_argument("--schedule-depth", type=int, default=40)
-        p.add_argument("--divergence-threshold", type=float, default=1e8)
-        p.add_argument("--csv", help="write witness tables to this CSV path")
-        p.add_argument("--terms", type=int, default=20)
-
-    p = sub.add_parser("classify", help="criticality classification")
-    common(p)
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("capacity", help="capacity of a point set")
-    common(p)
-    p.add_argument("--set", required=True, help="comma-separated point list")
-    p.add_argument("--h", help="reference field as JSON (default constant 1)")
-    p.set_defaults(fn=cmd_capacity)
-
-    p = sub.add_parser("hardy-weight", help="synthesize a Hardy weight")
-    common(p)
-    p.set_defaults(fn=cmd_hardy_weight)
-
-    p = sub.add_parser("resolvent", help="proximal resolvent G_alpha f")
-    common(p)
-    p.add_argument("--field", help="input field as JSON map or scalar")
-    p.set_defaults(fn=cmd_resolvent)
-
-    p = sub.add_parser("green", help="Green operator on a nonnegative field")
-    common(p)
-    p.add_argument("--field", help="input field as JSON map or scalar")
-    p.set_defaults(fn=cmd_green)
-
-    p = sub.add_parser("luxemburg", help="Luxemburg seminorm of a field")
-    common(p)
-    p.add_argument("--field", help="input field as JSON map or scalar")
-    p.add_argument("--r", type=float, default=1.0, help="level parameter")
-    p.set_defaults(fn=cmd_luxemburg)
-
-    p = sub.add_parser("profile", help="weak Hardy / Poincare profile")
-    common(p)
-    p.add_argument("--kind", choices=("hardy", "poincare"), default="hardy")
-    p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--r-grid", default="0.1,0.2,0.5,1.0")
-    p.add_argument("--weight", help="weight field as JSON map or scalar")
-    p.add_argument("--budget", type=int, default=40)
-    p.set_defaults(fn=cmd_profile)
-
-    p = sub.add_parser("verify", help="run the property suite on a problem")
-    common(p)
-    p.set_defaults(fn=cmd_verify)
-
+        if command.tables:
+            p.add_argument("--csv", help="write witness tables to this CSV path")
+        for flag in command.flags:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
+
+
+def _run(args) -> int:
+    """Load the problem, run the command, write its tables and envelope."""
+    command = COMMANDS[args.command]
+    problem, spec, cfg = _load(args)
+    result = command.run(args, spec, cfg)
+    tables = {key: result[key] for key in command.tables if key in result}
+    # only subcommands with tables take --csv
+    if tables and args.csv:
+        with open(args.csv, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["table", "point", "value"])
+            for name, table in tables.items():
+                for point, value in table.items():
+                    writer.writerow([name, point, value])
+    envelope = make_envelope(args.command, problem, args.seed, result=result)
+    sys.stdout.write(envelope_to_json(envelope))
+    return 0 if result.get("pass", True) else 1
 
 
 def main(argv=None) -> int:
@@ -342,7 +284,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:
-        code = args.fn(args)
+        code = _run(args)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -20,13 +20,16 @@ from .modular import LuxemburgQuery, luxemburg_norm
 from .resolvent import ProxConfig, green, green_on_nonneg, perturb, prox
 from .space import weighted_lp_norm
 
+# a field whose Luxemburg norm is at most this counts as in the kernel
+_LUX_TOL = 1e-10
 
-def K_of(spec: EnergySpec, w, cfg: ProxConfig = ProxConfig(), **green_kw) -> float:
+
+def K_of(spec: EnergySpec, w, cfg: ProxConfig = ProxConfig()) -> float:
     """K(w) = sum_x mu_x w_x (Gw)_x with the convention 0 * inf = 0."""
     w = spec.space.check_field(w)
     if np.any(w < 0):
         raise ParameterError("K_of requires w >= 0")
-    gw = green_on_nonneg(spec, w, cfg, **green_kw)
+    gw = green_on_nonneg(spec, w, cfg)
     pos = w > 0
     if np.any(np.isinf(gw[pos])):
         return math.inf
@@ -56,11 +59,11 @@ def hardy_upper_check(
     return True, worst
 
 
-def _local_ascent_ratio(spec, w, f0, evals, rng, lux_tol=1e-10):
+def _local_ascent_ratio(spec, w, f0, evals, rng):
     """Hill-climb the Hardy ratio int |f| w dmu / ||f||_L from f0."""
     def ratio(f):
         nl = luxemburg_norm(spec, f, LuxemburgQuery(lambda_tolerance=1e-10))
-        if nl <= lux_tol or math.isinf(nl):
+        if nl <= _LUX_TOL or math.isinf(nl):
             return -math.inf
         return float(np.sum(spec.space.mu * np.abs(f) * w)) / nl
 
@@ -183,7 +186,6 @@ def synthesize_hardy_weight(
     n_terms: int = 20,
     cfg: ProxConfig = ProxConfig(),
     tol: float = 1e-7,
-    early_exit: bool = True,
 ) -> np.ndarray:
     """Partial sum of the Hardy-weight series from a seed weight.
 
@@ -208,7 +210,7 @@ def synthesize_hardy_weight(
             raise InternalCheckError("perturbed Green value left [0, 1]")
         gwn = np.clip(gwn, 0.0, 1.0)
         W = W + 2.0**-n * w_n * (1.0 - gwn)
-        if early_exit and n >= 2 and np.all(W > 0):
+        if n >= 2 and np.all(W > 0):
             break
     return W
 
@@ -245,20 +247,10 @@ def invariant_set_check(
     The numeric evidence is the energy inequality E(1_A f) <= E(f) on the
     battery and the resolvent identity G_a(1_A f) = 1_A G_a(1_A f).
     """
-    A = frozenset(A)
-    for p in A:
-        spec.space.index(p)
-    mask = np.zeros(spec.space.n, dtype=bool)
-    for p in A:
-        mask[spec.space.index(p)] = True
-
-    analytic = True
-    for e in spec.edges:
-        if e.u in spec.boundary or e.v in spec.boundary:
-            continue
-        if mask[spec.space.index(e.u)] != mask[spec.space.index(e.v)]:
-            analytic = False
-            break
+    mask = spec.space.indicator(A)
+    eu, ev, _, _ = spec._edge_arrays
+    inner = spec.free_mask[eu] & spec.free_mask[ev]
+    analytic = bool(np.all(mask[eu[inner]] == mask[ev[inner]]))
 
     rng = np.random.default_rng(seed)
     if battery is None:
@@ -407,7 +399,7 @@ def _profile_battery(spec: EnergySpec, rng, budget: int):
     return battery
 
 
-def _battery_profile(spec: EnergySpec, r_grid, search_budget, seed, lux_tol, terms):
+def _battery_profile(spec: EnergySpec, r_grid, search_budget, seed, terms):
     """alpha(r) = max over the battery of (numerator - r * penalty) / ||f||_L.
 
     ``terms(f)`` returns the numerator and the penalty scale of a field.
@@ -420,7 +412,7 @@ def _battery_profile(spec: EnergySpec, r_grid, search_budget, seed, lux_tol, ter
     certs: list[np.ndarray | None] = [None] * len(r_grid)
     for f in battery:
         nl = luxemburg_norm(spec, f)
-        if nl <= lux_tol or math.isinf(nl):
+        if nl <= _LUX_TOL or math.isinf(nl):
             continue
         num, penalty = terms(f)
         for i, r in enumerate(r_grid):
@@ -442,7 +434,6 @@ def weak_hardy_profile(
     r_grid,
     search_budget: int = 40,
     seed: int = 0,
-    lux_tol: float = 1e-10,
 ) -> HardyProfile:
     """Lower-bound profile alpha(r) for the weak Hardy inequality
 
@@ -464,7 +455,7 @@ def weak_hardy_profile(
     def terms(f):
         return weighted_lp_norm(spec.space, f, p, w), float(np.max(np.abs(f)))
 
-    return _battery_profile(spec, r_grid, search_budget, seed, lux_tol, terms)
+    return _battery_profile(spec, r_grid, search_budget, seed, terms)
 
 
 def weak_poincare_profile(
@@ -474,7 +465,6 @@ def weak_poincare_profile(
     r_grid,
     search_budget: int = 40,
     seed: int = 0,
-    lux_tol: float = 1e-10,
 ) -> HardyProfile:
     """Lower-bound profile for the weak Poincare inequality
 
@@ -500,4 +490,4 @@ def weak_poincare_profile(
         num = weighted_lp_norm(spec.space, f - fbar, p, w)
         return num, float(np.max(f) - np.min(f))
 
-    return _battery_profile(spec, r_grid, search_budget, seed, lux_tol, terms)
+    return _battery_profile(spec, r_grid, search_budget, seed, terms)

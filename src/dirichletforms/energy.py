@@ -137,10 +137,7 @@ class EnergySpec:
 
     @cached_property
     def boundary_mask(self) -> np.ndarray:
-        mask = np.zeros(self.space.n, dtype=bool)
-        for p in self.boundary:
-            mask[self.space.index(p)] = True
-        return mask
+        return self.space.indicator(self.boundary)
 
     @cached_property
     def free_mask(self) -> np.ndarray:

@@ -26,7 +26,6 @@ from .resolvent import ProxConfig, _require_converged, _solve_shifted, prox
 class LuxemburgQuery:
     r: float = 1.0
     lambda_tolerance: float = 1e-9
-    kernel_probe_cap: float = 2.0**16
 
     def __post_init__(self):
         if not self.r > 0 or not self.lambda_tolerance > 0:
@@ -155,14 +154,11 @@ class ConjugateResult:
 
 # the maximizer is solved to 1e-10 in the mu-norm of phi - E'(x)
 _CONJUGATE_CFG = ProxConfig(residual_tolerance=1e-10)
+# safety net: a maximizer this large is taken as divergence
+_CONJUGATE_MAGNITUDE = 1e8
 
 
-def convex_conjugate(
-    spec: EnergySpec,
-    phi,
-    x0=None,
-    magnitude_threshold: float = 1e8,
-) -> ConjugateResult:
+def convex_conjugate(spec: EnergySpec, phi, x0=None) -> ConjugateResult:
     """E*(phi) = sup_x <phi, x>_mu - E(x).
 
     Divergence (+inf) happens exactly when phi pairs nontrivially with the
@@ -177,7 +173,7 @@ def convex_conjugate(
             return ConjugateResult(math.inf, None, True)
 
     x, report = _solve_shifted(spec, 0.0, phi, None, None, x0, _CONJUGATE_CFG)
-    if float(np.max(np.abs(x), initial=0.0)) > magnitude_threshold:
+    if float(np.max(np.abs(x), initial=0.0)) > _CONJUGATE_MAGNITUDE:
         return ConjugateResult(math.inf, None, True)
     _require_converged("conjugate maximizer", x, report, _CONJUGATE_CFG)
     value = spec.space.inner(phi, x) - energy(spec, x)

@@ -103,10 +103,7 @@ def excessive_envelope(
 ) -> tuple[np.ndarray, SolveReport]:
     """Energy minimizer over {f : f >= g on A}; an excessive function."""
     g = spec.space.check_field(g)
-    A = frozenset(A)
-    mask = np.zeros(spec.space.n, dtype=bool)
-    for p in A:
-        mask[spec.space.index(p)] = True
+    mask = spec.space.indicator(A)
     if np.any(mask & spec.boundary_mask & (g > 0)):
         raise InfeasibleError(
             "obstacle is positive on a Dirichlet boundary point"
@@ -141,9 +138,7 @@ def equilibrium_potential(
     if np.any(h < 0):
         raise ParameterError("reference h must be >= 0")
     O = frozenset(O)
-    mask = np.zeros(spec.space.n, dtype=bool)
-    for p in O:
-        mask[spec.space.index(p)] = True
+    mask = spec.space.indicator(O)
     if not O:
         zero = np.zeros(spec.space.n)
         return CapacityResult(0.0, zero, SolveReport(0, 0.0, True), h)
@@ -180,9 +175,7 @@ def capacity(
     result = equilibrium_potential(spec, A, h, cfg)
     if cross_check and A:
         h = spec.space.check_field(h)
-        mask = np.zeros(spec.space.n, dtype=bool)
-        for p in frozenset(A):
-            mask[spec.space.index(p)] = True
+        mask = spec.space.indicator(A)
         lower = np.full(spec.space.n, -np.inf)
         upper = np.full(spec.space.n, np.inf)
         lower[mask] = h[mask]

@@ -43,14 +43,10 @@ from .errors import (
 class ProxConfig:
     residual_tolerance: float = 1e-9
     max_iterations: int = 20_000
-    shrink: float = 0.5
-    armijo: float = 1e-4
 
     def __post_init__(self):
         if not self.residual_tolerance > 0:
             raise ParameterError("residual_tolerance must be > 0")
-        if not 0 < self.shrink < 1 or not 0 < self.armijo < 1:
-            raise ParameterError("backtracking constants must lie in (0, 1)")
 
 
 @dataclass
@@ -58,9 +54,13 @@ class SolveReport:
     iterations: int
     residual: float
     converged: bool
-    diverged: bool = False
     extras: dict = field(default_factory=dict)
 
+
+# backtracking: each rejected step is shrunk by _SHRINK, and a step of
+# length t is accepted when it cuts the residual by the factor 1 - _ARMIJO t
+_SHRINK = 0.5
+_ARMIJO = 1e-4
 
 _CURVATURE_CAP = 1e12  # exponents below 2 have unbounded curvature at zero
 
@@ -211,9 +211,9 @@ def _solve_shifted(
                 if boxed:
                     np.clip(g_new, lo, hi, out=g_new)
                 r_new, rnorm_new = projected(g_new)
-                if rnorm_new < rnorm * (1.0 - cfg.armijo * t):
+                if rnorm_new < rnorm * (1.0 - _ARMIJO * t):
                     break
-                t *= cfg.shrink
+                t *= _SHRINK
                 # below the tolerance only full steps refine the iterate
                 if t <= 1e-12 or rnorm <= tol:
                     return g, rnorm, it
@@ -378,7 +378,6 @@ def green(
     alpha0: float = 1.0,
     depth: int = 40,
     divergence_threshold: float = 1e8,
-    stop_tolerance: float | None = None,
 ) -> GreenResult:
     """Green operator G f = lim_{alpha -> 0+} G_alpha f on nonnegative f.
 
@@ -390,7 +389,6 @@ def green(
     f = spec.space.check_field(f)
     if np.any(f < 0):
         raise ParameterError("green requires f >= 0")
-    stop = cfg.residual_tolerance if stop_tolerance is None else stop_tolerance
     trace: list[tuple[float, float]] = []
     prev = None
     warm = None
@@ -408,7 +406,7 @@ def green(
                 raise InternalCheckError(
                     f"green trace decreased along the schedule (alpha={alpha:g})"
                 )
-            if float(np.max(np.abs(g - prev))) < stop:
+            if float(np.max(np.abs(g - prev))) < cfg.residual_tolerance:
                 return GreenResult(True, g, None, trace)
         prev = g
         warm = g

@@ -46,6 +46,12 @@ class MeasureSpace:
         except KeyError:
             raise StructuralError(f"unknown point {point!r}") from None
 
+    def indicator(self, points) -> np.ndarray:
+        """Boolean mask of a point set; an unknown point is a StructuralError."""
+        mask = np.zeros(self.n, dtype=bool)
+        mask[[self.index(p) for p in points]] = True
+        return mask
+
     def check_field(self, f) -> np.ndarray:
         f = np.asarray(f, dtype=float)
         if f.shape != (self.n,):

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -128,6 +129,45 @@ def test_csv_witness_table(problem_path, tmp_path, capsys):
     rows = csv_path.read_text().strip().splitlines()
     assert rows[0] == "table,point,value"
     assert len(rows) == 4  # one equilibrium row per point
+
+
+@pytest.mark.parametrize(
+    "argv, tables",
+    [
+        (["classify"], ["hardy_weight"]),
+        (["capacity", "--set", "a"], ["equilibrium"]),
+        (["hardy-weight"], ["hardy_weight"]),
+        (["resolvent", "--field", "1"], ["resolvent"]),
+        (["green", "--field", "1"], ["green"]),
+    ],
+)
+def test_csv_rows_equal_the_envelope_tables(argv, tables, problem_path, tmp_path, capsys):
+    csv_path = tmp_path / "out.csv"
+    assert main([argv[0], problem_path, *argv[1:], "--csv", str(csv_path)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    with open(csv_path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["table", "point", "value"]
+    got: dict[str, dict[str, float]] = {}
+    for table, point, value in rows:
+        got.setdefault(table, {})[point] = float(value)
+    assert got == {t: result[t] for t in tables}
+    assert len(rows) == sum(len(result[t]) for t in tables)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["luxemburg", "--field", "1", "--csv", "out.csv"],
+        ["verify", "--alpha0", "2.0"],
+        ["capacity", "--set", "a", "--terms", "3"],
+    ],
+)
+def test_a_command_rejects_a_flag_it_does_not_read(argv, problem_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], problem_path, *argv[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_exit_usage_on_bad_file(tmp_path, capsys):

@@ -82,8 +82,6 @@ def test_prox_parameter_validation():
         prox(spec, 0.0, np.zeros(2))
     with pytest.raises(ParameterError):
         ProxConfig(residual_tolerance=0.0)
-    with pytest.raises(ParameterError):
-        ProxConfig(shrink=1.5)
 
 
 def test_prox_nonconvergence_reports_best():

@@ -9,6 +9,8 @@ def test_construction_and_lookup():
     space = MeasureSpace(("a", "b", "c"), np.array([1.0, 2.0, 0.5]))
     assert space.n == 3
     assert space.index("b") == 1
+    assert space.indicator({"a", "c"}).tolist() == [True, False, True]
+    assert not space.indicator(()).any()
     assert space.total_mass() == pytest.approx(3.5)
 
 
@@ -26,6 +28,8 @@ def test_unknown_point_rejected():
     space = MeasureSpace(("a",), np.array([1.0]))
     with pytest.raises(StructuralError):
         space.index("z")
+    with pytest.raises(StructuralError):
+        space.indicator(["a", "z"])
 
 
 def test_check_field_shape():
