@@ -135,7 +135,7 @@ def _green(args, spec, cfg) -> dict:
 
 def _luxemburg(args, spec, cfg) -> dict:
     f = _field_from_arg(spec, args.field)
-    query = modular.LuxemburgQuery(r=args.r, lambda_tolerance=cfg.residual_tolerance)
+    query = modular.LuxemburgQuery(r=args.r)
     return {"norm": modular.luxemburg_norm(spec, f, query), "r": args.r}
 
 

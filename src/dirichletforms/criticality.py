@@ -16,7 +16,7 @@ import numpy as np
 
 from .energy import EnergySpec, connected_components, energy
 from .errors import InconclusiveError, InternalCheckError, ParameterError
-from .modular import LuxemburgQuery, luxemburg_norm
+from .modular import _scale_root, luxemburg_norm
 from .resolvent import ProxConfig, green, green_on_nonneg, perturb, prox
 from .space import weighted_lp_norm
 
@@ -62,7 +62,7 @@ def hardy_upper_check(
 def _local_ascent_ratio(spec, w, f0, evals, rng):
     """Hill-climb the Hardy ratio int |f| w dmu / ||f||_L from f0."""
     def ratio(f):
-        nl = luxemburg_norm(spec, f, LuxemburgQuery(lambda_tolerance=1e-10))
+        nl = luxemburg_norm(spec, f)
         if nl <= _LUX_TOL or math.isinf(nl):
             return -math.inf
         return float(np.sum(spec.space.mu * np.abs(f) * w)) / nl
@@ -83,29 +83,14 @@ def _local_ascent_ratio(spec, w, f0, evals, rng):
     return best, best_f
 
 
-def _unit_K_scale(spec: EnergySpec, w, cfg: ProxConfig, c_lo, c_hi, rtol: float) -> float:
-    """inf{C : K(w / C) <= 1} to relative tolerance ``rtol``.
+def _unit_K_scale(spec: EnergySpec, w, K: float, cfg: ProxConfig) -> float:
+    """K-tilde = inf{C : K(w / C) <= 1}, from K = K(w) in (0, inf).
 
-    K(w / C) decreases in C.  ``c_hi`` is doubled until K(w / c_hi) <= 1
-    (up to 1e12); a ``c_lo`` of None is found by halving from there until
-    K(w / c_lo) > 1 (down to 1e-12).  Bisection then closes the bracket and
-    returns its upper end, at which K(w / C) <= 1.
+    log K(w / C) falls in log C with slope in [-p_lo/(p_lo-1), -p_hi/(p_hi-1)],
+    so with one exponent p, K-tilde = K^{(p-1)/p}.
     """
-    while K_of(spec, w / c_hi, cfg) > 1.0 and c_hi < 1e12:
-        c_hi *= 2.0
-    if c_lo is None:
-        c_lo = c_hi
-        while c_lo > 1e-12 and K_of(spec, w / c_lo, cfg) <= 1.0:
-            c_lo /= 2.0
-    for _ in range(60):
-        if c_hi - c_lo <= rtol * c_hi:
-            break
-        mid = 0.5 * (c_lo + c_hi)
-        if K_of(spec, w / mid, cfg) <= 1.0:
-            c_hi = mid
-        else:
-            c_lo = mid
-    return c_hi
+    rates = sorted(p / (p - 1.0) for p in (spec.min_exponent, spec.max_exponent))
+    return _scale_root(lambda c: K_of(spec, w / c, cfg), K, rates, 1e-9)
 
 
 def hardy_optimal_constant(
@@ -120,7 +105,7 @@ def hardy_optimal_constant(
 
     mu_hat maximizes int |f| w dmu / ||f||_L over a battery seeded with Gw
     (exact maximizer in the bilinear case) plus random fields and local
-    ascent.  K_tilde = inf{C : K(w/C) <= 1} by bisection.  Passing requires
+    ascent.  K_tilde = inf{C : K(w/C) <= 1} from K(w).  Passing requires
     K(w / mu_hat) <= 1 + tol and mu_hat <= 2 K_tilde + tol.
     """
     w = spec.space.check_field(w)
@@ -148,7 +133,7 @@ def hardy_optimal_constant(
     if not math.isfinite(mu_hat) or mu_hat <= 0:
         return {"mu_hat": 0.0, "K_tilde": None, "pass": False, "witness": None}
 
-    K_tilde = _unit_K_scale(spec, w, cfg, None, max(mu_hat, 1e-6), 1e-9)
+    K_tilde = _unit_K_scale(spec, w, K, cfg)
 
     ok_a = K_of(spec, w / mu_hat, cfg) <= 1.0 + tol
     ok_b = mu_hat <= 2.0 * K_tilde + tol
@@ -352,9 +337,8 @@ def classify(
         K = K_of(spec, W, cfg)
         diagnostics["K_raw"] = K
         if K > 1.0:
-            c_hi = _unit_K_scale(spec, W, cfg, 1.0, max(2.0, 2.0 * K), 1e-6)
-            W = W / c_hi
-            diagnostics["rescale"] = c_hi
+            diagnostics["rescale"] = _unit_K_scale(spec, W, K, cfg)
+            W = W / diagnostics["rescale"]
         diagnostics["K_witness"] = K_of(spec, W, cfg)
         return CriticalityReport(
             Verdict.SUBCRITICAL, hardy_weight=W, diagnostics=diagnostics

@@ -145,8 +145,11 @@ class EnergySpec:
 
     @cached_property
     def max_exponent(self) -> float:
-        exps = [e.exponent for e in self.edges] + [k.exponent for k in self.kill]
-        return max(exps, default=2.0)
+        return max((t.exponent for t in self.edges + self.kill), default=2.0)
+
+    @cached_property
+    def min_exponent(self) -> float:
+        return min((t.exponent for t in self.edges + self.kill), default=2.0)
 
     @cached_property
     def _hessian_pattern(self) -> HessianPattern:

@@ -7,7 +7,8 @@ functional of the sublevel set {E <= r}:
 
 On the graph family the kernel of the seminorm is known in closed form
 (constants on components without kill or boundary), so kernel membership is
-decided analytically and bisection is only used off the kernel.
+decided analytically.  Off it, E(f) and the exponent range alone bracket
+the seminorm (Musielak, Orlicz Spaces and Modular Spaces, LNM 1034, 1983).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 
 from .energy import EnergySpec, energy, _phi
 from .errors import InfeasibleError, InternalCheckError, ParameterError
@@ -25,11 +27,10 @@ from .resolvent import ProxConfig, _require_converged, _solve_shifted, prox
 @dataclass(frozen=True)
 class LuxemburgQuery:
     r: float = 1.0
-    lambda_tolerance: float = 1e-9
 
     def __post_init__(self):
-        if not self.r > 0 or not self.lambda_tolerance > 0:
-            raise ParameterError("r and lambda_tolerance must be > 0")
+        if not self.r > 0:
+            raise ParameterError("r must be > 0")
 
 
 def in_kernel(spec: EnergySpec, f, tol: float = 1e-12) -> bool:
@@ -48,6 +49,25 @@ def in_kernel(spec: EnergySpec, f, tol: float = 1e-12) -> bool:
     return bool(np.all(np.abs(f[~free]) <= tol * scale))
 
 
+def _scale_root(modular, value: float, rates, rtol: float) -> float:
+    """The t > 0 with modular(t) = 1, given value = modular(1) > 0 and a slope
+    of log modular(t) in log t within [-rates[1], -rates[0]], so that log t is
+    between log(value) / rates[1] and log(value) / rates[0]: value^{1/rate}
+    with one rate, else a brentq root in log t to ``rtol``.
+    """
+    if rates[0] == rates[1]:
+        return value ** (1.0 / rates[0])
+    a, b = sorted(math.log(value) / rate for rate in rates)
+
+    def gap(u):
+        return math.log(modular(math.exp(u)))
+
+    try:
+        return math.exp(optimize.brentq(gap, a, b, xtol=rtol))
+    except ValueError:  # rounding in ``modular`` put the root just past an end
+        return math.exp(a if gap(a) <= 0.0 else b)
+
+
 def luxemburg_norm(
     spec: EnergySpec, f, query: LuxemburgQuery = LuxemburgQuery()
 ) -> float:
@@ -57,22 +77,13 @@ def luxemburg_norm(
         return math.inf
     if in_kernel(spec, f):
         return 0.0
-    r = query.r
-    e_f = energy(spec, f)
-    # bracket from the sublevel bound: E(f) >= r implies ||f|| <= E(f)/r
-    lam_hi = 2.0 * max(1.0, e_f / r)
-    lam_lo = 1e-12 * max(1.0, float(np.max(np.abs(f))))
-    if energy(spec, f / lam_lo) <= r:
-        return 0.0  # numerically indistinguishable from the kernel
-    for _ in range(200):
-        if lam_hi - lam_lo <= query.lambda_tolerance * lam_hi:
-            break
-        mid = 0.5 * (lam_lo + lam_hi)
-        if energy(spec, f / mid) <= r:
-            lam_hi = mid
-        else:
-            lam_lo = mid
-    return lam_hi
+    eu, ev, _, _ = spec._edge_arrays
+    ki, kk, _ = spec._kill_arrays
+    # ||f|| = s ||f / s||: the largest term base of E(f / s) is 1, so it cannot underflow
+    s = float(np.max(np.abs(np.concatenate((f[eu] - f[ev], f[ki[kk > 0]])))))
+    r, rates = query.r, (spec.min_exponent, spec.max_exponent)
+    return s * _scale_root(lambda t: energy(spec, f / (s * t)) / r, energy(spec, f / s) / r,
+                           rates, 1e-15)
 
 
 def luxemburg_family_check(

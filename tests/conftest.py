@@ -7,6 +7,16 @@ import pytest
 
 from dirichletforms import Edge, EnergySpec, KillTerm, MeasureSpace
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # the same examples on every run, and no per-example deadline: a slow
+    # shared machine must not turn a passing property into a failure
+    settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+    settings.load_profile("tier1")
+
 
 def random_connected_spec(
     n: int,

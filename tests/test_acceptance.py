@@ -120,7 +120,7 @@ def test_criterion_3_luxemburg_engine():
         e = df.energy(spec, f)
         if e <= 1e-12:
             continue
-        norm = df.luxemburg_norm(spec, f, df.LuxemburgQuery(lambda_tolerance=1e-12))
+        norm = df.luxemburg_norm(spec, f)
         worst_hom = max(worst_hom, abs(norm - e ** (1.0 / p)))
     ok = violations == 0 and worst_hom <= 1e-10
     _report(

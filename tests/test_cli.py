@@ -242,8 +242,9 @@ def test_profile_command(problem_path, capsys):
 
 
 def test_every_command_rejects_a_nonpositive_tolerance(problem_path):
-    # profile does not solve, but it validates the solver settings too
+    # profile and luxemburg do not solve, but they validate the solver settings too
     assert main(["profile", problem_path, "--tol", "0"]) == 2
+    assert main(["luxemburg", problem_path, "--tol", "0"]) == 2
     assert main(["classify", problem_path, "--tol", "0"]) == 2
 
 

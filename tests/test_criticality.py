@@ -19,6 +19,7 @@ from dirichletforms import (
     weak_hardy_profile,
     weak_poincare_profile,
 )
+from dirichletforms import criticality
 from dirichletforms.criticality import _nontrivial_invariant_set
 from conftest import (
     path_spec,
@@ -59,6 +60,87 @@ def test_hardy_optimal_constant_single_vertex():
     assert out["mu_hat"] == pytest.approx(math.sqrt(2.0), rel=1e-3)
     assert out["K_tilde"] == pytest.approx(1.0, rel=1e-3)
     assert out["mu_hat"] <= 2.0 * out["K_tilde"] + 1e-6
+
+
+def _count_K_of(monkeypatch) -> list:
+    calls = []
+    real = criticality.K_of
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(criticality, "K_of", counting)
+    return calls
+
+
+def _bisect_K_tilde(spec, w):
+    """Reference: bisection on K(w / C) <= 1, to 1e-10 relative."""
+    lo = hi = 1.0
+    while K_of(spec, w / hi) > 1.0:
+        hi *= 2.0
+    while K_of(spec, w / lo) <= 1.0:
+        lo /= 2.0
+    while hi - lo > 1e-10 * hi:
+        mid = 0.5 * (lo + hi)
+        if K_of(spec, w / mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _mixed_spec_and_weight(seed):
+    spec = random_connected_spec(8, seed=seed, p_range=(1.5, 3.5), n_kill=2, n_boundary=1)
+    w = spec.project_feasible(np.random.default_rng(seed).uniform(0.1, 1.0, spec.space.n))
+    return spec, w
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exponent_range_brackets_K_tilde(seed):
+    # log K(w / C) has slope in [-p_lo/(p_lo-1), -p_hi/(p_hi-1)] in log C,
+    # so K(w / C) = 1 between K^{(p_lo-1)/p_lo} and K^{(p_hi-1)/p_hi}
+    spec, w = _mixed_spec_and_weight(seed)
+    assert spec.min_exponent < spec.max_exponent
+    K = K_of(spec, w)
+    ends = [K ** ((p - 1.0) / p) for p in (spec.min_exponent, spec.max_exponent)]
+    levels = [K_of(spec, w / c) for c in ends]
+    assert min(levels) <= 1.0 + 1e-8 and max(levels) >= 1.0 - 1e-8
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_mixed_exponent_K_tilde_matches_bisection(seed):
+    spec, w = _mixed_spec_and_weight(seed)
+    out = hardy_optimal_constant(spec, w, search_budget=0, seed=seed)
+    assert out["K_tilde"] == pytest.approx(_bisect_K_tilde(spec, w), rel=1e-8)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_one_exponent_K_tilde_is_the_closed_form(p, monkeypatch):
+    spec = random_connected_spec(8, seed=int(10 * p), p_range=(p, p), n_kill=2)
+    w = np.random.default_rng(int(10 * p)).uniform(0.1, 1.0, spec.space.n)
+    calls = _count_K_of(monkeypatch)
+    out = hardy_optimal_constant(spec, w, search_budget=0)
+    assert out["K_tilde"] == pytest.approx(out["K"] ** ((p - 1.0) / p), rel=1e-14)
+    # K(w), and K(w / mu_hat) for the pass test; none for K-tilde
+    assert len(calls) == 2
+
+
+def test_one_exponent_classify_rescale_is_the_closed_form(monkeypatch):
+    # a series witness with K(W) > 1 is rescaled by K(W)^{(p-1)/p}
+    spec = random_connected_spec(6, seed=4, p_range=(3.0, 3.0), n_kill=2)
+    real = criticality.synthesize_hardy_weight
+    monkeypatch.setattr(
+        criticality, "synthesize_hardy_weight", lambda *a, **kw: 50.0 * real(*a, **kw)
+    )
+    calls = _count_K_of(monkeypatch)
+    report = classify(spec)
+    K_raw = report.diagnostics["K_raw"]
+    assert K_raw > 1.0
+    assert report.diagnostics["rescale"] == pytest.approx(K_raw ** (2.0 / 3.0), rel=1e-14)
+    assert report.diagnostics["K_witness"] == pytest.approx(1.0, rel=1e-8)
+    # K(W) and K(W / rescale); none for the rescale itself
+    assert len(calls) == 2
 
 
 def test_hardy_from_green_bound():

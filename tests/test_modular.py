@@ -33,7 +33,7 @@ def test_homogeneous_identity():
     f = np.array([2.0, 0.0])
     e = energy(spec, f)
     assert e == pytest.approx(8.0)
-    norm = luxemburg_norm(spec, f, LuxemburgQuery(lambda_tolerance=1e-12))
+    norm = luxemburg_norm(spec, f)
     assert norm == pytest.approx(e ** (1.0 / 3.0), abs=1e-10)
 
 
@@ -55,8 +55,75 @@ def test_level_scaling():
     f = np.array([3.0, 0.0])
     e = energy(spec, f)
     for r in (0.5, 1.0, 4.0):
-        norm = luxemburg_norm(spec, f, LuxemburgQuery(r=r, lambda_tolerance=1e-12))
+        norm = luxemburg_norm(spec, f, LuxemburgQuery(r=r))
         assert norm == pytest.approx(math.sqrt(e / r), rel=1e-9)
+
+
+def _bisect_luxemburg(spec, f, r):
+    """Reference: bisection on E(f / lam) <= r, to 1e-15 relative."""
+    lo = hi = 1.0
+    while energy(spec, f / hi) > r:
+        hi *= 2.0
+    while energy(spec, f / lo) <= r:
+        lo /= 2.0
+    while hi - lo > 1e-15 * hi:
+        mid = 0.5 * (lo + hi)
+        if energy(spec, f / mid) <= r:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _mixed_spec_and_field(seed):
+    spec = random_connected_spec(10, seed=seed, p_range=(1.5, 3.5), n_kill=2, n_boundary=1)
+    rng = np.random.default_rng(seed)
+    f = spec.project_feasible(rng.normal(size=spec.space.n) * rng.uniform(0.1, 10.0))
+    return spec, f
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_exponent_range_brackets_the_level(seed):
+    # log E(f / lam) has slope in [-p_hi, -p_lo] in log lam, so the level
+    # r is met between (E(f)/r)^{1/p_hi} and (E(f)/r)^{1/p_lo}
+    spec, f = _mixed_spec_and_field(seed)
+    assert spec.min_exponent < spec.max_exponent
+    e = energy(spec, f)
+    for r in (0.1, 1.0, 10.0):
+        ends = [(e / r) ** (1.0 / p) for p in (spec.min_exponent, spec.max_exponent)]
+        levels = [energy(spec, f / lam) for lam in ends]
+        assert min(levels) <= r * (1.0 + 1e-12) and max(levels) >= r * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_mixed_exponent_norm_matches_bisection(seed):
+    spec, f = _mixed_spec_and_field(seed)
+    for r in (0.3, 1.0, 4.0):
+        norm = luxemburg_norm(spec, f, LuxemburgQuery(r=r))
+        assert norm == pytest.approx(_bisect_luxemburg(spec, f, r), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+def test_one_exponent_norm_is_the_closed_form(p):
+    spec = random_connected_spec(
+        12, seed=int(10 * p), p_range=(p, p), n_kill=2, n_boundary=1
+    )
+    f = spec.project_feasible(np.random.default_rng(int(10 * p)).normal(size=spec.space.n))
+    e = energy(spec, f)
+    for r in (0.3, 1.0, 4.0):
+        norm = luxemburg_norm(spec, f, LuxemburgQuery(r=r))
+        assert norm == pytest.approx((e / r) ** (1.0 / p), rel=1e-14)
+
+
+def test_norm_where_the_energy_underflows():
+    # off the kernel, yet E(f) = (1e-11)^40 / 40 underflows to 0.0
+    spec = two_vertex_spec(p=40.0)
+    f = np.array([0.0, 1e-11])
+    assert energy(spec, f) == 0.0
+    assert luxemburg_norm(spec, f) == pytest.approx(1e-11 / 40.0 ** (1 / 40), rel=1e-12)
+    # the same on an offset: E(f / max|f|) underflows as well
+    f = np.array([1.0, 1.0 + 2.0**-30])
+    assert luxemburg_norm(spec, f) == pytest.approx(2.0**-30 / 40.0 ** (1 / 40), rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))

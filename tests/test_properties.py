@@ -1,0 +1,82 @@
+"""Property tests for the homogeneity laws of the Luxemburg seminorm and K-tilde.
+
+Specs come from the ``conftest`` path, grid and random generators with at
+most 200 points; the hypothesis profile registered in ``conftest`` makes
+every run draw the same examples.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from dirichletforms import (
+    LuxemburgQuery,
+    hardy_optimal_constant,
+    luxemburg_family_check,
+    luxemburg_norm,
+)
+from conftest import grid_spec, path_spec, random_connected_spec
+
+exponents = st.floats(1.5, 3.5)
+
+
+@st.composite
+def specs(draw, max_points=200, subcritical=False, one_exponent=False, p_values=exponents):
+    """A path, grid or random spec; random specs may mix exponents."""
+    family = draw(st.sampled_from(["path", "grid", "random"]))
+    seed = draw(st.integers(0, 2**16))
+    p = draw(p_values)
+    n_kill = draw(st.integers(1 if subcritical else 0, 2))
+    if family == "path":
+        n_edges = draw(st.integers(1, max_points - 1))
+        return path_spec(n_edges, p, dirichlet_right=subcritical or draw(st.booleans()))
+    if family == "grid":
+        side = draw(st.integers(2, int(max_points**0.5)))
+        return grid_spec(side, seed, p, n_kill=n_kill, n_boundary=draw(st.integers(0, 2)))
+    p_range = (p, p) if one_exponent else tuple(sorted((p, draw(exponents))))
+    n_boundary = draw(st.integers(0, 2))
+    n = draw(st.integers(2, max_points - n_boundary))
+    return random_connected_spec(n, seed, p_range, n_kill=n_kill, n_boundary=n_boundary)
+
+
+def _field(spec, seed):
+    return spec.project_feasible(np.random.default_rng(seed).normal(size=spec.space.n))
+
+
+@given(specs(), st.integers(0, 2**16), st.floats(1e-3, 1e3), st.booleans(), st.floats(0.1, 10.0))
+def test_luxemburg_norm_is_absolutely_homogeneous(spec, seed, t, negate, r):
+    # ||t f||_{L,r} = |t| ||f||_{L,r}
+    f = _field(spec, seed)
+    t = -t if negate else t
+    q = LuxemburgQuery(r=r)
+    assert luxemburg_norm(spec, t * f, q) == pytest.approx(
+        abs(t) * luxemburg_norm(spec, f, q), rel=1e-12
+    )
+
+
+@given(specs(), st.integers(0, 2**16), st.floats(0.1, 10.0), st.floats(0.01, 1.0))
+def test_luxemburg_family_sandwich(spec, seed, r, ratio):
+    # ||f||_{L,r} <= ||f||_{L,s} <= (r/s) ||f||_{L,r} for r >= s
+    ok, details = luxemburg_family_check(spec, _field(spec, seed), r, ratio * r)
+    assert ok, details
+
+
+# K_of runs the alpha -> 0 Green schedule, which stops on an absolute step
+# of 1e-9.  It runs out of steps at p < 2 (path_spec(11, 1.5), w = 1) and on
+# longer paths (path_spec(24), w about 2), and it loses relative accuracy on
+# small weights; so this law is drawn only where K_of is reliable: at most
+# 12 points, p >= 2 and t near 1
+@settings(max_examples=25)
+@given(
+    specs(max_points=12, subcritical=True, one_exponent=True, p_values=st.floats(2.0, 3.5)),
+    st.integers(0, 2**16),
+    st.floats(0.5, 2.0),
+)
+def test_one_exponent_K_tilde_is_homogeneous(spec, seed, t):
+    # K(t w) = t^{p/(p-1)} K(w), so K-tilde(t w) = t K-tilde(w)
+    w = spec.project_feasible(np.random.default_rng(seed).uniform(0.1, 1.0, spec.space.n))
+    base = hardy_optimal_constant(spec, w, search_budget=0)["K_tilde"]
+    scaled = hardy_optimal_constant(spec, t * w, search_budget=0)["K_tilde"]
+    assert scaled == pytest.approx(t * base, rel=1e-8)
