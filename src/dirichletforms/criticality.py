@@ -15,13 +15,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import EnergySpec, connected_components, energy
-from .errors import InconclusiveError, InternalCheckError, ParameterError
+from .errors import InconclusiveError, InternalCheckError, NonConvergenceError, ParameterError
 from .modular import _scale_root, luxemburg_norm
+from .potential import equilibrium_potential
 from .resolvent import ProxConfig, green, green_on_nonneg, perturb, prox
 from .space import weighted_lp_norm
 
 # a field whose Luxemburg norm is at most this counts as in the kernel
 _LUX_TOL = 1e-10
+
+HARDY_TOL = 1e-7  # of the bound in ``hardy_upper_check``, relative to max(1, RHS)
+K_TOL = 1e-6  # of the bounds on K in ``hardy_optimal_constant`` and ``hardy_from_green``
+SERIES_TOL = 1e-7  # of [0, 1] for the terms of ``synthesize_hardy_weight``
+INVARIANCE_TOL = 1e-7  # of the numeric evidence in ``invariant_set_check``
 
 
 def K_of(spec: EnergySpec, w, cfg: ProxConfig = ProxConfig()) -> float:
@@ -36,14 +42,9 @@ def K_of(spec: EnergySpec, w, cfg: ProxConfig = ProxConfig()) -> float:
     return float(np.sum(spec.space.mu[pos] * w[pos] * gw[pos]))
 
 
-def hardy_upper_check(
-    spec: EnergySpec,
-    w,
-    battery,
-    cfg: ProxConfig = ProxConfig(),
-    tol: float = 1e-7,
-):
-    """int |f| w dmu <= (1 + K(w)) ||f||_L for every battery field."""
+def hardy_upper_check(spec: EnergySpec, w, battery, cfg: ProxConfig = ProxConfig()):
+    """int |f| w dmu <= (1 + K(w)) ||f||_L for every battery field, to
+    ``HARDY_TOL`` relative to max(1, RHS)."""
     K = K_of(spec, w, cfg)
     if math.isinf(K):
         raise ParameterError("hardy_upper_check requires K(w) < inf")
@@ -54,7 +55,7 @@ def hardy_upper_check(
         rhs = (1.0 + K) * luxemburg_norm(spec, f)
         margin = rhs - lhs
         worst = min(worst, margin if not math.isinf(rhs) else math.inf)
-        if not math.isinf(rhs) and margin < -tol * max(1.0, rhs):
+        if not math.isinf(rhs) and margin < -HARDY_TOL * max(1.0, rhs):
             return False, worst
     return True, worst
 
@@ -99,14 +100,13 @@ def hardy_optimal_constant(
     cfg: ProxConfig = ProxConfig(),
     search_budget: int = 200,
     seed: int = 0,
-    tol: float = 1e-6,
 ):
     """Lower bound mu_hat on the optimal Hardy constant, and K-tilde.
 
     mu_hat maximizes int |f| w dmu / ||f||_L over a battery seeded with Gw
     (exact maximizer in the bilinear case) plus random fields and local
     ascent.  K_tilde = inf{C : K(w/C) <= 1} from K(w).  Passing requires
-    K(w / mu_hat) <= 1 + tol and mu_hat <= 2 K_tilde + tol.
+    K(w / mu_hat) <= 1 + K_TOL and mu_hat <= 2 K_tilde + K_TOL.
     """
     w = spec.space.check_field(w)
     if np.any(w < 0):
@@ -135,8 +135,8 @@ def hardy_optimal_constant(
 
     K_tilde = _unit_K_scale(spec, w, K, cfg)
 
-    ok_a = K_of(spec, w / mu_hat, cfg) <= 1.0 + tol
-    ok_b = mu_hat <= 2.0 * K_tilde + tol
+    ok_a = K_of(spec, w / mu_hat, cfg) <= 1.0 + K_TOL
+    ok_b = mu_hat <= 2.0 * K_tilde + K_TOL
     return {
         "mu_hat": mu_hat,
         "K_tilde": K_tilde,
@@ -146,10 +146,11 @@ def hardy_optimal_constant(
     }
 
 
-def hardy_from_green(
-    spec: EnergySpec, g, cfg: ProxConfig = ProxConfig(), tol: float = 1e-6
-) -> np.ndarray:
-    """Hardy weight w = g / (Gg v 1) from a function with finite Green value."""
+def hardy_from_green(spec: EnergySpec, g, cfg: ProxConfig = ProxConfig()) -> np.ndarray:
+    """Hardy weight w = g / (Gg v 1) from a function with finite Green value.
+
+    Checks K(w) <= ||g||_1 to ``K_TOL`` relative to max(1, ||g||_1).
+    """
     g = spec.space.check_field(g)
     if np.any(g < 0):
         raise ParameterError("hardy_from_green requires g >= 0")
@@ -160,7 +161,7 @@ def hardy_from_green(
     w = g / np.maximum(gg, 1.0)
     K = K_of(spec, w, cfg)
     bound = spec.space.l1_norm(g)
-    if K > bound + tol * max(1.0, bound):
+    if K > bound + K_TOL * max(1.0, bound):
         raise InternalCheckError(f"K(w)={K} exceeds ||g||_1={bound}")
     return w
 
@@ -170,13 +171,13 @@ def synthesize_hardy_weight(
     seed_w,
     n_terms: int = 20,
     cfg: ProxConfig = ProxConfig(),
-    tol: float = 1e-7,
 ) -> np.ndarray:
     """Partial sum of the Hardy-weight series from a seed weight.
 
     W = sum_n 2^-n w_n (1 - G^{w_n} w_n) with w_n = seed / n.  Each
-    perturbed Green value lies in [0, 1]; on subcritical specs the partial
-    sums are strictly positive pointwise once enough terms accumulate.
+    perturbed Green value lies in [0, 1] (checked to ``SERIES_TOL``); on
+    subcritical specs the partial sums are strictly positive pointwise once
+    enough terms accumulate.
     """
     seed_w = spec.space.check_field(seed_w)
     if not np.all(seed_w > 0):
@@ -191,7 +192,7 @@ def synthesize_hardy_weight(
         if not result.finite:
             raise InconclusiveError("perturbed Green value diverged unexpectedly")
         gwn = result.value
-        if np.any(gwn < -tol) or np.any(gwn > 1.0 + tol):
+        if np.any(gwn < -SERIES_TOL) or np.any(gwn > 1.0 + SERIES_TOL):
             raise InternalCheckError("perturbed Green value left [0, 1]")
         gwn = np.clip(gwn, 0.0, 1.0)
         W = W + 2.0**-n * w_n * (1.0 - gwn)
@@ -216,21 +217,15 @@ class CriticalityReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def invariant_set_check(
-    spec: EnergySpec,
-    A,
-    battery=None,
-    cfg: ProxConfig = ProxConfig(),
-    tol: float = 1e-7,
-    seed: int = 0,
-):
+def invariant_set_check(spec: EnergySpec, A, cfg: ProxConfig = ProxConfig(), seed: int = 0):
     """Decide invariance of a point set and cross-check numerically.
 
     Ground truth for the graph family: A is invariant iff no edge joins a
     non-boundary point of A to a non-boundary point outside A (edges into
     the Dirichlet boundary are inert because feasible fields vanish there).
-    The numeric evidence is the energy inequality E(1_A f) <= E(f) on the
-    battery and the resolvent identity G_a(1_A f) = 1_A G_a(1_A f).
+    The numeric evidence, to ``INVARIANCE_TOL``, is the energy inequality
+    E(1_A f) <= E(f) on 8 random fields drawn from ``seed`` and on 1_A, and
+    the resolvent identity G_a(1_A f) = 1_A G_a(1_A f).
     """
     mask = spec.space.indicator(A)
     eu, ev, _, _ = spec._edge_arrays
@@ -238,29 +233,24 @@ def invariant_set_check(
     analytic = bool(np.all(mask[eu[inner]] == mask[ev[inner]]))
 
     rng = np.random.default_rng(seed)
-    if battery is None:
-        battery = [
-            spec.project_feasible(rng.normal(size=spec.space.n)) for _ in range(8)
-        ]
-    battery = list(battery) + [spec.project_feasible(mask.astype(float))]
+    battery = [spec.project_feasible(rng.normal(size=spec.space.n)) for _ in range(8)]
+    battery.append(spec.project_feasible(mask.astype(float)))
 
     worst_energy = math.inf
     for f in battery:
-        f = spec.project_feasible(f)
         lhs = energy(spec, f * mask)
         rhs = energy(spec, f)
         if math.isinf(rhs):
             continue
         worst_energy = min(worst_energy, rhs - lhs)
-    energy_ok = worst_energy >= -tol * max(1.0, abs(worst_energy))
+    energy_ok = worst_energy >= -INVARIANCE_TOL * max(1.0, abs(worst_energy))
 
-    resolvent_ok = True
     worst_res = 0.0
     for alpha in (0.7, 1.3):
         f = spec.project_feasible(rng.normal(size=spec.space.n)) * mask
         g, _ = prox(spec, alpha, f, cfg)
         worst_res = max(worst_res, float(np.max(np.abs(g - mask * g), initial=0.0)))
-    resolvent_ok = worst_res <= max(tol, 100 * cfg.residual_tolerance)
+    resolvent_ok = worst_res <= max(INVARIANCE_TOL, 100 * cfg.residual_tolerance)
 
     numeric = energy_ok and resolvent_ok
     if analytic and not numeric:
@@ -367,19 +357,17 @@ def _profile_battery(spec: EnergySpec, rng, budget: int):
         mask = rng.random(spec.space.n) < rng.uniform(0.2, 0.8)
         battery.append(spec.project_feasible(mask.astype(float) * rng.uniform(0.5, 2.0)))
     # equilibrium potentials make good near-extremal plateaus
-    try:
-        from .potential import equilibrium_potential
-
-        ones = np.ones(spec.space.n)
-        if spec.is_feasible(ones):
-            pts = list(spec.space.points)
-            for _ in range(2):
-                k = rng.integers(1, max(2, len(pts)))
-                O = set(rng.choice(pts, size=int(k), replace=False))
+    ones = np.ones(spec.space.n)
+    if spec.is_feasible(ones):
+        pts = list(spec.space.points)
+        for _ in range(2):
+            k = rng.integers(1, max(2, len(pts)))
+            O = set(rng.choice(pts, size=int(k), replace=False))
+            try:
                 res = equilibrium_potential(spec, O, ones)
-                battery.append(res.equilibrium)
-    except Exception:
-        pass
+            except NonConvergenceError:  # the battery only ends early
+                break
+            battery.append(res.equilibrium)
     return battery
 
 

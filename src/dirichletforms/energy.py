@@ -28,6 +28,12 @@ FEASIBILITY_TOL = 0.0  # boundary values must be exactly zero
 # Margin tolerance for all inequality checks, scaled by max(1, |RHS|).
 INEQ_TOL = 1e-9
 
+# ``NormalContraction.validate``: random pairs tried, and the slack of
+# C(0) = 0 and of the Lipschitz bound
+CONTRACTION_SAMPLES = 200
+CONTRACTION_TOL = 1e-12
+SCALAR_TOL = 1e-12  # of the relative violations in ``fuzz_scalar_inequalities``
+
 
 @dataclass(frozen=True)
 class Edge:
@@ -225,20 +231,25 @@ def _phi(t, p):
     return np.sign(t) * np.abs(t) ** (p - 1.0)
 
 
+def _term_sum(spec: EnergySpec, d, k) -> float:
+    """E of a field with edge differences ``d`` and killed values ``k``."""
+    _, _, ew, ep = spec._edge_arrays
+    ki, kk, kq = spec._kill_arrays
+    total = 0.0
+    if len(d):
+        total += float(np.sum(ew / ep * np.abs(d) ** ep))
+    if len(k):
+        total += float(np.sum(kk / kq * spec.space.mu[ki] * np.abs(k) ** kq))
+    return total
+
+
 def energy(spec: EnergySpec, f) -> float:
     """Evaluate E(f); +inf iff f violates the boundary constraint."""
     f = spec.space.check_field(f)
     if not spec.is_feasible(f):
         return math.inf
-    eu, ev, ew, ep = spec._edge_arrays
-    total = 0.0
-    if len(eu):
-        d = np.abs(f[eu] - f[ev])
-        total += float(np.sum(ew / ep * d**ep))
-    ki, kk, kq = spec._kill_arrays
-    if len(ki):
-        total += float(np.sum(kk / kq * spec.space.mu[ki] * np.abs(f[ki]) ** kq))
-    return total
+    eu, ev, _, _ = spec._edge_arrays
+    return _term_sum(spec, f[eu] - f[ev], f[spec._kill_arrays[0]])
 
 
 def energy_gradient(spec: EnergySpec, f) -> np.ndarray:
@@ -290,15 +301,16 @@ class NormalContraction:
     def __repr__(self):
         return f"NormalContraction({self.kind})"
 
-    def validate(self, rng=None, samples=200, tol=1e-12) -> None:
-        """Spot-check C(0)=0 and the Lipschitz bound on random pairs."""
+    def validate(self, rng=None) -> None:
+        """Spot-check C(0)=0 and the Lipschitz bound on ``CONTRACTION_SAMPLES``
+        random pairs, each with slack ``CONTRACTION_TOL``."""
         rng = np.random.default_rng(rng)
-        if abs(float(self._fn(np.array(0.0)))) > tol:
+        if abs(float(self._fn(np.array(0.0)))) > CONTRACTION_TOL:
             raise ParameterError(f"{self!r}: C(0) != 0")
-        a = rng.normal(scale=10.0, size=samples)
-        b = rng.normal(scale=10.0, size=samples)
+        a = rng.normal(scale=10.0, size=CONTRACTION_SAMPLES)
+        b = rng.normal(scale=10.0, size=CONTRACTION_SAMPLES)
         lhs = np.abs(self._fn(a) - self._fn(b))
-        if np.any(lhs > np.abs(a - b) + tol):
+        if np.any(lhs > np.abs(a - b) + CONTRACTION_TOL):
             raise ParameterError(f"{self!r}: Lipschitz bound violated")
 
     # -- constructors ------------------------------------------------------
@@ -344,47 +356,17 @@ class NormalContraction:
             raise ParameterError("slopes must lie in [-1, 1]")
         if np.any(np.diff(knots) < 0):
             raise ParameterError("knots must be sorted")
-        grid_sorted = np.sort(np.unique(np.concatenate((knots, [0.0]))))
-
-        def slope_at(t):
-            return slopes[np.searchsorted(knots, t, side="right")]
-
-        # cumulative values at grid points, anchored at C(0)=0
-        vals = np.zeros_like(grid_sorted)
-        zero_pos = int(np.searchsorted(grid_sorted, 0.0))
-        for i in range(zero_pos + 1, len(grid_sorted)):
-            mid = 0.5 * (grid_sorted[i - 1] + grid_sorted[i])
-            vals[i] = vals[i - 1] + slope_at(mid) * (
-                grid_sorted[i] - grid_sorted[i - 1]
-            )
-        for i in range(zero_pos - 1, -1, -1):
-            mid = 0.5 * (grid_sorted[i] + grid_sorted[i + 1])
-            vals[i] = vals[i + 1] - slope_at(mid) * (
-                grid_sorted[i + 1] - grid_sorted[i]
-            )
+        grid = np.unique(np.concatenate((knots, [0.0])))
+        # the slope on each grid interval is the one at its midpoint
+        inner = slopes[np.searchsorted(knots, 0.5 * (grid[:-1] + grid[1:]), side="right")]
+        vals = np.concatenate(([0.0], np.cumsum(inner * np.diff(grid))))
+        vals -= vals[np.searchsorted(grid, 0.0)]  # anchor C(0) = 0
 
         def fn(t):
-            # piecewise-linear interpolation with linear extension at the ends
-            scalar = np.ndim(t) == 0
-            t = np.atleast_1d(np.asarray(t, dtype=float))
-            lo = t < grid_sorted[0]
-            hi = t > grid_sorted[-1]
-            inner = ~(lo | hi)
-            out = np.empty_like(t)
-            if inner.any():
-                ti = t[inner]
-                ii = np.clip(
-                    np.searchsorted(grid_sorted, ti, side="right") - 1,
-                    0,
-                    len(grid_sorted) - 2,
-                )
-                mids = 0.5 * (grid_sorted[ii] + grid_sorted[ii + 1])
-                out[inner] = vals[ii] + slope_at(mids) * (ti - grid_sorted[ii])
-            if lo.any():
-                out[lo] = vals[0] + slopes[0] * (t[lo] - grid_sorted[0])
-            if hi.any():
-                out[hi] = vals[-1] + slopes[-1] * (t[hi] - grid_sorted[-1])
-            return out[0] if scalar else out
+            # interpolation inside the grid, linear extension past its ends
+            out = np.interp(t, grid, vals)
+            out = np.where(t < grid[0], vals[0] + slopes[0] * (t - grid[0]), out)
+            return np.where(t > grid[-1], vals[-1] + slopes[-1] * (t - grid[-1]), out)
 
         return cls(f"pwl({len(knots)} knots)", fn)
 
@@ -415,33 +397,34 @@ def contraction_battery(seed: int = 0) -> list[NormalContraction]:
 # -- Beurling-Deny style checks --------------------------------------------
 
 
-def _margin_ok(lhs: float, rhs: float, tol: float = INEQ_TOL):
+def _margin_ok(lhs: float, rhs: float):
     """Pass/fail with margin for lhs <= rhs, tolerance scaled by the RHS."""
     if math.isinf(rhs):
         return True, math.inf
     margin = rhs - lhs
-    return margin >= -tol * max(1.0, abs(rhs)), margin
+    return margin >= -INEQ_TOL * max(1.0, abs(rhs)), margin
 
 
-def bd1_check(spec: EnergySpec, f, g, tol: float = INEQ_TOL):
-    """First criterion: E(f ^ g) + E(f v g) <= E(f) + E(g)."""
+def bd1_check(spec: EnergySpec, f, g):
+    """First criterion: E(f ^ g) + E(f v g) <= E(f) + E(g), to ``INEQ_TOL``."""
     fg_min, fg_max = lattice_ops(f, g)
     lhs = energy(spec, fg_min) + energy(spec, fg_max)
     rhs = energy(spec, f) + energy(spec, g)
-    return _margin_ok(lhs, rhs, tol)
+    return _margin_ok(lhs, rhs)
 
 
-def bd2_check(spec: EnergySpec, f, g, C: NormalContraction, tol: float = INEQ_TOL):
-    """Second criterion: E(f + Cg) + E(f - Cg) <= E(f + g) + E(f - g)."""
+def bd2_check(spec: EnergySpec, f, g, C: NormalContraction):
+    """Second criterion: E(f + Cg) + E(f - Cg) <= E(f + g) + E(f - g), to
+    ``INEQ_TOL``."""
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     cg = C(g)
     lhs = energy(spec, f + cg) + energy(spec, f - cg)
     rhs = energy(spec, f + g) + energy(spec, f - g)
-    return _margin_ok(lhs, rhs, tol)
+    return _margin_ok(lhs, rhs)
 
 
-def fuzz_scalar_inequalities(samples: int, seed: int = 0, rel_tol: float = 1e-12):
+def fuzz_scalar_inequalities(samples: int, seed: int = 0):
     """Random checks of the two scalar inequalities behind the second criterion.
 
     For |lam| <= 1 and p >= 1:
@@ -450,7 +433,8 @@ def fuzz_scalar_inequalities(samples: int, seed: int = 0, rel_tol: float = 1e-12
         (a^2 + 2 lam c + lam^2 b^2)^(p/2) + (a^2 - 2 lam c + lam^2 b^2)^(p/2)
             <= (a^2 + 2c + b^2)^(p/2) + (a^2 - 2c + b^2)^(p/2)
 
-    Returns (ok, worst_relative_violation).
+    Returns (ok, worst_relative_violation); ok when the worst relative
+    violation is at most ``SCALAR_TOL``.
     """
     if samples < 1:
         raise ParameterError("samples must be >= 1")
@@ -475,4 +459,4 @@ def fuzz_scalar_inequalities(samples: int, seed: int = 0, rel_tol: float = 1e-12
     viol2 = (lhs2 - rhs2) / np.maximum(1.0, np.abs(rhs2))
 
     worst = float(max(viol1.max(initial=-math.inf), viol2.max(initial=-math.inf)))
-    return worst <= rel_tol, worst
+    return worst <= SCALAR_TOL, worst

@@ -19,9 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .energy import EnergySpec, energy, _phi
+from .energy import INEQ_TOL, EnergySpec, _term_sum, energy, energy_gradient
 from .errors import InfeasibleError, InternalCheckError, ParameterError
 from .resolvent import ProxConfig, _require_converged, _solve_shifted, prox
+
+KERNEL_TOL = 1e-12  # of ``in_kernel``, relative to max(1, max|f|)
+FAMILY_TOL = 1e-7  # of the laws in ``luxemburg_family_check``, relative to max(1, norm)
+# ``delta2_constant`` tries this many random fields, drawn from this seed
+DELTA2_FIELDS = 100
+DELTA2_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -33,20 +39,21 @@ class LuxemburgQuery:
             raise ParameterError("r must be > 0")
 
 
-def in_kernel(spec: EnergySpec, f, tol: float = 1e-12) -> bool:
+def in_kernel(spec: EnergySpec, f) -> bool:
     """Whether E(lambda f) = 0 for every lambda.
 
     For the graph family this means: f vanishes outside the free components
-    and is constant on each of them.
+    and is constant on each of them, to ``KERNEL_TOL`` relative to
+    max(1, max|f|).
     """
     f = spec.space.check_field(f)
     scale = max(1.0, float(np.max(np.abs(f), initial=0.0)))
     free = np.zeros(spec.space.n, dtype=bool)
     for comp in spec.free_components:
         free[comp] = True
-        if np.ptp(f[comp]) > tol * scale:
+        if np.ptp(f[comp]) > KERNEL_TOL * scale:
             return False
-    return bool(np.all(np.abs(f[~free]) <= tol * scale))
+    return bool(np.all(np.abs(f[~free]) <= KERNEL_TOL * scale))
 
 
 def _scale_root(modular, value: float, rates, rtol: float) -> float:
@@ -79,22 +86,23 @@ def luxemburg_norm(
         return 0.0
     eu, ev, _, _ = spec._edge_arrays
     ki, kk, _ = spec._kill_arrays
+    # the term bases are taken from f once: E(f / lambda) scales them, so an
+    # offset of f cannot cancel digits of its differences
+    d, k = f[eu] - f[ev], f[ki]
     # ||f|| = s ||f / s||: the largest term base of E(f / s) is 1, so it cannot underflow
-    s = float(np.max(np.abs(np.concatenate((f[eu] - f[ev], f[ki[kk > 0]])))))
-    r, rates = query.r, (spec.min_exponent, spec.max_exponent)
-    return s * _scale_root(lambda t: energy(spec, f / (s * t)) / r, energy(spec, f / s) / r,
-                           rates, 1e-15)
+    s = float(np.max(np.abs(np.concatenate((d, k[kk > 0])))))
+    d, k, r = d / s, k / s, query.r
+    return s * _scale_root(lambda t: _term_sum(spec, d / t, k / t) / r, _term_sum(spec, d, k) / r,
+                           (spec.min_exponent, spec.max_exponent), 1e-15)
 
 
-def luxemburg_family_check(
-    spec: EnergySpec, f, r: float, s: float, tol: float = 1e-7
-):
+def luxemburg_family_check(spec: EnergySpec, f, r: float, s: float):
     """Sandwich and level-set laws relating the seminorms at levels r >= s.
 
         ||f||_{L,r} <= ||f||_{L,s} <= (r/s) ||f||_{L,r}
         E(f) <= r  <=>  ||f||_{L,r} <= 1
 
-    Returns (ok, details).
+    each to ``FAMILY_TOL``.  Returns (ok, details).
     """
     if not 0 < s <= r:
         raise ParameterError("need 0 < s <= r")
@@ -104,28 +112,27 @@ def luxemburg_family_check(
     if math.isinf(n_r) or math.isinf(n_s):
         ok = math.isinf(n_r) and math.isinf(n_s)
         return ok, details
-    scale = max(1.0, n_s)
-    sandwich = n_r <= n_s + tol * scale and n_s <= (r / s) * n_r + tol * scale
+    slack = FAMILY_TOL * max(1.0, n_s)
+    sandwich = n_r <= n_s + slack and n_s <= (r / s) * n_r + slack
     e_f = energy(spec, f)
-    level_set = (e_f <= r) == (n_r <= 1 + tol)
+    level_set = (e_f <= r) == (n_r <= 1 + FAMILY_TOL)
     # near the boundary of the level set both sides are tolerance-limited
-    if abs(e_f - r) <= tol * max(1.0, r) or abs(n_r - 1) <= tol:
+    if abs(e_f - r) <= FAMILY_TOL * max(1.0, r) or abs(n_r - 1) <= FAMILY_TOL:
         level_set = True
     details.update(energy=e_f, sandwich=sandwich, level_set=level_set)
     return sandwich and level_set, details
 
 
-def delta2_constant(
-    spec: EnergySpec, battery_size: int = 100, seed: int = 0, tol: float = 1e-9
-) -> float:
-    """Doubling constant K with E(2f) <= K E(f), verified on random fields."""
+def delta2_constant(spec: EnergySpec) -> float:
+    """Doubling constant K with E(2f) <= K E(f), verified to ``INEQ_TOL`` on
+    ``DELTA2_FIELDS`` random fields."""
     K = 2.0**spec.max_exponent
-    rng = np.random.default_rng(seed)
-    for _ in range(battery_size):
+    rng = np.random.default_rng(DELTA2_SEED)
+    for _ in range(DELTA2_FIELDS):
         f = spec.project_feasible(rng.normal(size=spec.space.n))
         e1 = energy(spec, f)
         e2 = energy(spec, 2.0 * f)
-        if e2 > K * e1 + tol * max(1.0, K * e1):
+        if e2 > K * e1 + INEQ_TOL * max(1.0, K * e1):
             raise InternalCheckError(
                 f"doubling constant {K} violated: E(2f)={e2}, K*E(f)={K * e1}"
             )
@@ -133,27 +140,17 @@ def delta2_constant(
 
 
 def directional_derivative(spec: EnergySpec, f, g) -> float:
-    """One-sided derivative d+E(f, g) at a feasible f.
+    """One-sided derivative d+E(f, g) = <E'(f), g>_mu at a feasible f.
 
-    Analytic for the graph family; +inf when the direction leaves the
-    feasible set (nonzero on the boundary).
+    E is differentiable, so this is the pairing with ``energy_gradient``;
+    +inf when the direction leaves the feasible set (nonzero on the
+    boundary).
     """
-    f = spec.space.check_field(f)
-    if not spec.is_feasible(f):
-        raise InfeasibleError("directional_derivative requires feasible f")
+    grad = energy_gradient(spec, f)  # raises on an infeasible f
     g = spec.space.check_field(g)
     if not spec.is_feasible(g):
         return math.inf
-    eu, ev, ew, ep = spec._edge_arrays
-    total = 0.0
-    if len(eu):
-        df = f[eu] - f[ev]
-        dg = g[eu] - g[ev]
-        total += float(np.sum(ew * _phi(df, ep) * dg))
-    ki, kk, kq = spec._kill_arrays
-    if len(ki):
-        total += float(np.sum(kk * spec.space.mu[ki] * _phi(f[ki], kq) * g[ki]))
-    return total
+    return spec.space.inner(grad, g)
 
 
 @dataclass

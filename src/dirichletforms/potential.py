@@ -10,6 +10,10 @@ whose minimizer, truncated at h, is the equilibrium potential e_A with
 E(e_A) = cap_h(A).  Obstacle problems are solved by the shifted-energy core
 of ``resolvent`` at alpha = 0: projected damped Newton on the active set,
 with one bounded L-BFGS-B run should Newton stall.
+
+E is differentiable, so the one-sided derivative along a coordinate is
+d+E(f, +-1_x) = +-mu_x E'(f)(x): the first-order tests of excessivity and
+of the equilibrium variational inequality read one ``energy_gradient``.
 """
 
 from __future__ import annotations
@@ -20,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergySpec, energy
+from .energy import EnergySpec, energy, energy_gradient
 from .errors import InfeasibleError, InternalCheckError, ParameterError
-from .modular import directional_derivative
 from .resolvent import (
     ProxConfig,
     SolveReport,
@@ -35,23 +38,25 @@ CONSTRAINT_TOL = 1e-8
 VALUE_TOL = 1e-6
 DERIVATIVE_TOL = 1e-7
 
+# ``is_excessive``: the resolvent scales, the seed of the random fields of
+# the lattice test, and the slack of those two margins
+EXCESSIVE_ALPHAS = (0.5, 2.0)
+EXCESSIVE_SEED = 0
+EXCESSIVE_TOL = 1e-7
+CHOQUET_TOL = 1e-6  # of the three margins of ``choquet_suite``
+POSITIVE_CAPACITY = 1e-8  # a singleton's capacity in ``capacity_zero_property`` exceeds it
 
-def is_excessive(
-    spec: EnergySpec,
-    h,
-    cfg: ProxConfig = ProxConfig(),
-    alphas=(0.5, 2.0),
-    battery=None,
-    seed: int = 0,
-    tol: float = 1e-7,
-):
+
+def is_excessive(spec: EnergySpec, h, cfg: ProxConfig = ProxConfig()):
     """Three-way excessivity test for h >= 0.
 
-    (1) resolvent: G_alpha(alpha h) <= h for each alpha;
-    (2) lattice: E(f ^ h) <= E(f) over the battery;
-    (3) derivative (only when E(h) < inf): d+E(h, e_x) >= 0 for every
-        nonnegative coordinate direction.
-    Returns (passed, margins).
+    (1) resolvent: G_alpha(alpha h) <= h for each alpha in ``EXCESSIVE_ALPHAS``;
+    (2) lattice: E(f ^ h) <= E(f) over 10 random fields drawn from
+        ``EXCESSIVE_SEED``;
+    (3) derivative (only when E(h) < inf): d+E(h, 1_x) >= 0 at every point x
+        off the boundary, read from E'(h).
+    (1) and (2) allow ``EXCESSIVE_TOL``, (3) ``DERIVATIVE_TOL``.  Returns
+    (passed, margins).
     """
     h = spec.space.check_field(h)
     if np.any(h < 0):
@@ -59,21 +64,16 @@ def is_excessive(
     margins: dict = {}
 
     worst_res = math.inf
-    for alpha in alphas:
+    for alpha in EXCESSIVE_ALPHAS:
         g, _ = prox(spec, alpha, alpha * h, cfg)
         worst_res = min(worst_res, float(np.min(h - g)))
     margins["resolvent"] = worst_res
 
-    rng = np.random.default_rng(seed)
-    if battery is None:
-        scale = max(1.0, float(np.max(h, initial=0.0)))
-        battery = [
-            spec.project_feasible(scale * rng.normal(size=spec.space.n))
-            for _ in range(10)
-        ]
+    rng = np.random.default_rng(EXCESSIVE_SEED)
+    scale = max(1.0, float(np.max(h, initial=0.0)))
     worst_lattice = math.inf
-    for f in battery:
-        f = spec.project_feasible(f)
+    for _ in range(10):
+        f = spec.project_feasible(scale * rng.normal(size=spec.space.n))
         rhs = energy(spec, f)
         if math.isinf(rhs):
             continue
@@ -82,17 +82,13 @@ def is_excessive(
 
     worst_dd = math.inf
     if energy(spec, h) < math.inf:
-        for i in range(spec.space.n):
-            if spec.boundary_mask[i]:
-                continue
-            e_i = np.zeros(spec.space.n)
-            e_i[i] = 1.0
-            worst_dd = min(worst_dd, directional_derivative(spec, h, e_i))
+        d = spec.space.mu * energy_gradient(spec, h)
+        worst_dd = float(np.min(d[spec.free_mask], initial=math.inf))
     margins["derivative"] = worst_dd
 
     passed = (
-        worst_res >= -tol
-        and worst_lattice >= -tol
+        worst_res >= -EXCESSIVE_TOL
+        and worst_lattice >= -EXCESSIVE_TOL
         and worst_dd >= -DERIVATIVE_TOL
     )
     return passed, margins
@@ -132,7 +128,9 @@ def equilibrium_potential(
 
     e_O is the truncation at h of the obstacle-problem minimizer, satisfies
     0 <= e_O <= h, e_O = h on O, and the one-sided optimality test
-    d+E(e_O, phi) >= 0 for feasible directions phi.
+    d+E(e_O, phi) >= 0 for feasible directions phi: checked on the
+    coordinate directions, +1_x at every point off the boundary and -1_x
+    off O as well, with one ``energy_gradient``.
     """
     h = spec.space.check_field(h)
     if np.any(h < 0):
@@ -152,15 +150,13 @@ def equilibrium_potential(
         raise InternalCheckError("equilibrium potential left [0, h]")
     if np.any(np.abs(e[mask] - h[mask]) > CONSTRAINT_TOL):
         raise InternalCheckError("equilibrium potential != h on the target set")
-    for i in range(spec.space.n):
-        if spec.boundary_mask[i]:
-            continue
-        e_i = np.zeros(spec.space.n)
-        e_i[i] = 1.0
-        if directional_derivative(spec, e, e_i) < -DERIVATIVE_TOL:
-            raise InternalCheckError("one-sided optimality failed (ascent direction)")
-        if not mask[i] and directional_derivative(spec, e, -e_i) < -DERIVATIVE_TOL:
-            raise InternalCheckError("one-sided optimality failed off the target set")
+    # d+E(e, +-1_x) = +-d[x]
+    d = spec.space.mu * energy_gradient(spec, e)
+    free = spec.free_mask
+    if np.any(d[free] < -DERIVATIVE_TOL):
+        raise InternalCheckError("one-sided optimality failed (ascent direction)")
+    if np.any(d[free & ~mask] > DERIVATIVE_TOL):
+        raise InternalCheckError("one-sided optimality failed off the target set")
     return CapacityResult(float(value), e, report, h)
 
 
@@ -196,11 +192,10 @@ def capacity(
     return result
 
 
-def choquet_suite(
-    spec: EnergySpec, h, family, cfg: ProxConfig = ProxConfig(), tol: float = 1e-6
-):
+def choquet_suite(spec: EnergySpec, h, family, cfg: ProxConfig = ProxConfig()):
     """Choquet axioms on a family of subsets: monotone, strongly
-    subadditive, continuous from below.  Returns a report dict."""
+    subadditive, continuous from below, each to ``CHOQUET_TOL``.  Returns a
+    report dict."""
     h = spec.space.check_field(h)
     family = [frozenset(A) for A in family]
     cache: dict[frozenset, float] = {}
@@ -238,9 +233,9 @@ def choquet_suite(
         worst_chain = -abs(cap(incr[-1]) - max(caps))
 
     passed = (
-        worst_mono >= -tol
-        and worst_subadd >= -tol
-        and (worst_chain == math.inf or worst_chain >= -tol)
+        worst_mono >= -CHOQUET_TOL
+        and worst_subadd >= -CHOQUET_TOL
+        and (worst_chain == math.inf or worst_chain >= -CHOQUET_TOL)
         and not failures
     )
     return {
@@ -252,11 +247,9 @@ def choquet_suite(
     }
 
 
-def capacity_zero_property(
-    spec: EnergySpec, h, cfg: ProxConfig = ProxConfig(), tol: float = 1e-8
-):
+def capacity_zero_property(spec: EnergySpec, h, cfg: ProxConfig = ProxConfig()):
     """At finite scale only the empty set is exceptional: cap of the empty
-    set is 0 and every singleton has strictly positive capacity."""
+    set is 0 and every singleton has capacity above ``POSITIVE_CAPACITY``."""
     h = spec.space.check_field(h)
     if not np.all(h > 0):
         raise ParameterError("capacity_zero_property requires h > 0")
@@ -267,7 +260,7 @@ def capacity_zero_property(
     values = {}
     for p in spec.space.points:
         values[p] = capacity(spec, {p}, h, cfg, cross_check=False).value
-    ok = all(v > tol for v in values.values())
+    ok = all(v > POSITIVE_CAPACITY for v in values.values())
     return ok, values
 
 

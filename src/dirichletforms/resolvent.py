@@ -73,6 +73,8 @@ _DENSE_MAX = 200
 # a coordinate within this distance of a bound counts as on it
 _BOUND_TOL = 1e-12
 
+MARKOV_TOL = 1e-7  # of the margins of ``markov_property_checks``
+
 
 def _curvatures(spec: EnergySpec, g) -> tuple[np.ndarray, np.ndarray]:
     """Second derivatives of the edge terms and of the kill terms at g.
@@ -296,17 +298,14 @@ def resolvent_identity_check(
 
 
 def markov_property_checks(
-    spec: EnergySpec,
-    alpha: float,
-    sample_pairs,
-    cfg: ProxConfig = ProxConfig(),
-    tol: float = 1e-7,
+    spec: EnergySpec, alpha: float, sample_pairs, cfg: ProxConfig = ProxConfig()
 ):
     """Order preservation plus L-infinity and L1 contraction of alpha G_alpha.
 
     Each sample pair (f, g) is used twice: the ordered pair (f v g, f ^ g)
     drives the order-preservation check, the raw pair the two contraction
-    bounds.  Returns a dict report with the worst margins.
+    bounds.  Returns a dict report with the worst margins; it passes when
+    none is below -``MARKOV_TOL``.
     """
     worst = {"order": math.inf, "sup": math.inf, "l1": math.inf}
     mu = spec.space.mu
@@ -329,7 +328,7 @@ def markov_property_checks(
             worst["l1"],
             float(np.sum(mu * np.abs(f - g)) - np.sum(mu * np.abs(d))),
         )
-    passed = all(v >= -tol for v in worst.values())
+    passed = all(v >= -MARKOV_TOL for v in worst.values())
     return {"pass": passed, "margins": worst}
 
 

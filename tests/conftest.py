@@ -177,6 +177,30 @@ def green_oracle(spec: EnergySpec, f) -> np.ndarray:
     return g
 
 
+def one_sided_derivatives(spec: EnergySpec, f, sign: float = 1.0) -> np.ndarray:
+    """d+E(f, sign * 1_x) at every point x off the boundary (nan on it),
+    summed term by term over ``spec.edges`` and ``spec.kill``."""
+    f = np.asarray(f, dtype=float)
+    index = spec.space.index
+    out = np.full(spec.space.n, np.nan)
+    for x in range(spec.space.n):
+        if spec.space.points[x] in spec.boundary:
+            continue
+        total = 0.0
+        for e in spec.edges:
+            u, v = index(e.u), index(e.v)
+            dg = sign * ((u == x) - (v == x))
+            if dg:
+                df = f[u] - f[v]
+                total += e.weight * abs(df) ** (e.exponent - 1.0) * np.sign(df) * dg
+        for k in spec.kill:
+            if index(k.point) == x:
+                fx = f[x]
+                total += k.kappa * spec.space.mu[x] * abs(fx) ** (k.exponent - 1.0) * np.sign(fx) * sign
+        out[x] = total
+    return out
+
+
 def central_difference_gradient(fn, f, h: float = 1e-6) -> np.ndarray:
     g = np.zeros_like(f)
     for i in range(len(f)):

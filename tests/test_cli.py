@@ -201,7 +201,7 @@ def test_exit_inconclusive(problem_path, capsys):
 def test_exit_internal_check(problem_path, capsys, monkeypatch):
     # an ascent direction at the equilibrium potential is a solver defect
     monkeypatch.setattr(
-        "dirichletforms.potential.directional_derivative", lambda spec, f, g: -1.0
+        "dirichletforms.potential.energy_gradient", lambda spec, f: -np.ones(spec.space.n)
     )
     assert main(["capacity", problem_path, "--set", "a"]) == 6
     assert "internal check failed" in capsys.readouterr().err

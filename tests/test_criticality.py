@@ -6,8 +6,10 @@ import pytest
 from dirichletforms import (
     Edge,
     EnergySpec,
+    InternalCheckError,
     K_of,
     MeasureSpace,
+    NonConvergenceError,
     ParameterError,
     Verdict,
     classify,
@@ -246,6 +248,28 @@ def test_weak_hardy_profile_closed_form():
     # monotone nonincreasing with certificates where positive
     assert all(b <= a + 1e-12 for a, b in zip(profile.alpha_of_r, profile.alpha_of_r[1:]))
     assert profile.certificates[0] is not None
+
+
+def test_profile_battery_raises_solver_defects(monkeypatch):
+    spec = random_connected_spec(6, seed=0, n_kill=1)
+
+    def defect(*args, **kwargs):
+        raise InternalCheckError("one-sided optimality failed (ascent direction)")
+
+    monkeypatch.setattr(criticality, "equilibrium_potential", defect)
+    with pytest.raises(InternalCheckError, match="ascent direction"):
+        weak_hardy_profile(spec, np.ones(6), 2.0, [0.1, 1.0])
+
+
+def test_profile_battery_ends_early_on_a_missed_tolerance(monkeypatch):
+    spec = random_connected_spec(6, seed=0, n_kill=1)
+
+    def unconverged(*args, **kwargs):
+        raise NonConvergenceError("obstacle solve did not reach residual 1e-09")
+
+    monkeypatch.setattr(criticality, "equilibrium_potential", unconverged)
+    profile = weak_hardy_profile(spec, np.ones(6), 2.0, [0.1, 1.0])
+    assert all(a > 0 for a in profile.alpha_of_r)
 
 
 def test_weak_hardy_profile_preconditions():

@@ -146,6 +146,31 @@ def test_piecewise_linear_scalar_and_anchor():
     assert np.allclose(C([0.5, -0.5]), [-0.5, 0.5])
 
 
+def _step_integral(knots, slopes, t):
+    """integral from 0 to t of the step function with ``slopes`` between
+    ``knots``, interval by interval."""
+    ends = np.concatenate(([-np.inf], knots, [np.inf]))
+    return sum(
+        s * (np.clip(t, a, b) - np.clip(0.0, a, b))
+        for s, a, b in zip(slopes, ends[:-1], ends[1:])
+    )
+
+
+def test_piecewise_linear_is_the_integral_of_its_slopes():
+    rng = np.random.default_rng(2024)
+    for draw in range(500):
+        knots = np.sort(rng.uniform(-3.0, 3.0, size=int(rng.integers(0, 7))))
+        if draw % 2:  # repeated knots and knots at 0
+            knots = np.round(knots)
+        slopes = rng.uniform(-1.0, 1.0, size=len(knots) + 1)
+        t = np.concatenate((rng.uniform(-6.0, 6.0, size=20), knots, [0.0]))
+        C = NormalContraction.piecewise_linear(knots, slopes)
+        np.testing.assert_allclose(
+            C(t), _step_integral(knots, slopes, t), rtol=1e-12, atol=1e-12
+        )
+        assert C(0.0) == 0.0
+
+
 def test_bd1_bd2_on_random_specs():
     battery = contraction_battery(seed=7)
     for seed in range(4):

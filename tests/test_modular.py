@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import optimize, sparse
 from scipy.sparse.linalg import spsolve
 
 from dirichletforms import (
+    Edge,
+    EnergySpec,
     InfeasibleError,
     LuxemburgQuery,
+    MeasureSpace,
     ParameterError,
     convex_conjugate,
     delta2_constant,
@@ -124,6 +127,20 @@ def test_norm_where_the_energy_underflows():
     # the same on an offset: E(f / max|f|) underflows as well
     f = np.array([1.0, 1.0 + 2.0**-30])
     assert luxemburg_norm(spec, f) == pytest.approx(2.0**-30 / 40.0 ** (1 / 40), rel=1e-12)
+
+
+def test_mixed_exponent_norm_on_a_large_offset():
+    # E(f / lambda) from the differences of f, not from f / lambda: the
+    # offset 1e6 would otherwise cancel 11 of the digits of differences 1e-5
+    space = MeasureSpace(("a", "b", "c"), np.ones(3))
+    spec = EnergySpec(space, (Edge("a", "b", 1.0, 2.0), Edge("b", "c", 1.0, 3.0)))
+    f = 1e6 + np.array([0.0, 1e-5, 3e-5])
+    d1, d2 = f[1] - f[0], f[2] - f[1]  # exact: the entries are within a factor 2
+    want = optimize.brentq(
+        lambda lam: (d1 / lam) ** 2 / 2.0 + (d2 / lam) ** 3 / 3.0 - 1.0,
+        1e-8, 1e-3, xtol=1e-30, rtol=4 * np.finfo(float).eps,
+    )
+    assert luxemburg_norm(spec, f) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))

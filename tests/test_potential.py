@@ -8,13 +8,16 @@ from dirichletforms import (
     Edge,
     EnergySpec,
     InfeasibleError,
+    InternalCheckError,
     MeasureSpace,
     NonConvergenceError,
     ParameterError,
     capacity,
     capacity_zero_property,
     choquet_suite,
+    directional_derivative,
     energy,
+    energy_gradient,
     equilibrium_potential,
     excessive_envelope,
     exhaustion_capacity_profile,
@@ -22,8 +25,15 @@ from dirichletforms import (
     is_excessive,
 )
 from dirichletforms import resolvent
+from dirichletforms.potential import DERIVATIVE_TOL
 from dirichletforms.resolvent import ProxConfig, _solve_shifted
-from conftest import grid_spec, path_spec, quadratic_matrix, random_connected_spec
+from conftest import (
+    grid_spec,
+    one_sided_derivatives,
+    path_spec,
+    quadratic_matrix,
+    random_connected_spec,
+)
 
 
 def test_constant_is_excessive_without_kill():
@@ -46,6 +56,58 @@ def test_is_excessive_rejects_negative():
     spec = path_spec(2)
     with pytest.raises(ParameterError):
         is_excessive(spec, np.array([1.0, -1.0, 0.0]))
+
+
+def _first_order_spec(family, p):
+    if family == "path":  # Dirichlet right end
+        return path_spec(6, p)
+    if family == "grid":
+        return grid_spec(3, seed=1, p=p, n_kill=2, n_boundary=2)
+    return random_connected_spec(7, seed=3, p_range=(p, p), n_kill=2, n_boundary=2)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("family", ["path", "grid", "random"])
+def test_first_order_checks_match_the_pointwise_oracle(family, p):
+    spec = _first_order_spec(family, p)
+    n, free = spec.space.n, spec.free_mask
+    rng = np.random.default_rng(7)
+    f = spec.project_feasible(rng.uniform(0.0, 2.0, size=n))
+    f[np.flatnonzero(free)[:2]] = 1.0  # on the path a zero difference: a kink at p < 2
+    plus, minus = one_sided_derivatives(spec, f), one_sided_derivatives(spec, f, -1.0)
+    atol = 1e-12 * np.max(np.abs(plus[free]))
+
+    d = spec.space.mu * energy_gradient(spec, f)
+    np.testing.assert_allclose(d[free], plus[free], rtol=1e-12, atol=atol)
+    np.testing.assert_allclose(-d[free], minus[free], rtol=1e-12, atol=atol)
+    for x in np.flatnonzero(free):
+        e_x = np.zeros(n)
+        e_x[x] = 1.0
+        assert directional_derivative(spec, f, e_x) == pytest.approx(plus[x], rel=1e-12, abs=atol)
+        assert directional_derivative(spec, f, -e_x) == pytest.approx(minus[x], rel=1e-12, abs=atol)
+    _, margins = is_excessive(spec, f)
+    assert margins["derivative"] == pytest.approx(np.min(plus[free]), rel=1e-12, abs=atol)
+
+    # the equilibrium potential passes its check, so it passes the oracle's
+    target = {spec.space.points[np.flatnonzero(free)[-1]]}
+    e = equilibrium_potential(spec, target, spec.project_feasible(np.ones(n))).equilibrium
+    off = free & ~spec.space.indicator(target)
+    assert np.all(one_sided_derivatives(spec, e)[free] >= -DERIVATIVE_TOL)
+    assert np.all(one_sided_derivatives(spec, e, -1.0)[off] >= -DERIVATIVE_TOL)
+
+
+@pytest.mark.parametrize(
+    "sign, message", [(-1.0, "ascent direction"), (1.0, "off the target set")]
+)
+def test_equilibrium_potential_reports_each_first_order_failure(sign, message, monkeypatch):
+    # a gradient of -1 makes +1_x an ascent direction everywhere; one of +1
+    # makes -1_x one, which only the points off the target may take
+    monkeypatch.setattr(
+        "dirichletforms.potential.energy_gradient",
+        lambda spec, f: sign * np.ones(spec.space.n),
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        equilibrium_potential(path_spec(4), {"0"}, np.ones(5))
 
 
 def test_excessive_envelope_path_closed_form():
