@@ -127,8 +127,7 @@ def _resolvent(args, spec, cfg) -> dict:
 def _green(args, spec, cfg) -> dict:
     f = _field_from_arg(spec, args.field)
     value = resolvent.green_on_nonneg(
-        spec, f, cfg, alpha0=args.alpha0, depth=args.schedule_depth,
-        divergence_threshold=args.divergence_threshold,
+        spec, f, cfg, alpha0=args.alpha0, depth=args.schedule_depth
     )
     return {"finite": bool(np.all(np.isfinite(value))), "green": spec.space.as_dict(value)}
 
@@ -197,7 +196,6 @@ FLAGS = {
     "--terms": dict(type=int, default=20),
     "--alpha0": dict(type=float, default=1.0),
     "--schedule-depth": dict(type=int, default=40),
-    "--divergence-threshold": dict(type=float, default=1e8),
     "--set": dict(required=True, help="comma-separated point list"),
     "--h": dict(help="reference field as JSON (default constant 1)"),
     "--field": dict(help="input field as JSON map or scalar"),
@@ -226,7 +224,7 @@ COMMANDS = {
         _green,
         "Green operator on a nonnegative field",
         ("green",),
-        ("--field", "--alpha0", "--schedule-depth", "--divergence-threshold"),
+        ("--field", "--alpha0", "--schedule-depth"),
     ),
     "luxemburg": Command(
         _luxemburg, "Luxemburg seminorm of a field", flags=("--field", "--r")

@@ -18,6 +18,10 @@ down to the configured tolerance.  For alpha > 0 the residual bounds the
 error by residual / alpha; at alpha = 0 it bounds nothing where E is flat
 (near constants, or at p > 2), so there the last Newton step must be below
 the tolerance too.
+
+The Green operator G f = lim_{alpha -> 0+} G_alpha f is +inf exactly where
+f charges a component with no kill and no boundary; ``green`` decides that
+from the spec and walks one alpha -> 0 schedule for the rest.
 """
 
 from __future__ import annotations
@@ -366,7 +370,6 @@ def perturbed_prox(
 class GreenResult:
     finite: bool
     value: np.ndarray | None
-    scale_at_exit: float | None
     alpha_trace: list[tuple[float, float]]
 
 
@@ -376,28 +379,28 @@ def green(
     cfg: ProxConfig = ProxConfig(),
     alpha0: float = 1.0,
     depth: int = 40,
-    divergence_threshold: float = 1e8,
 ) -> GreenResult:
     """Green operator G f = lim_{alpha -> 0+} G_alpha f on nonnegative f.
 
-    Walks the schedule alpha0 * 2^-k with warm starts.  Finite when two
-    consecutive iterates agree in sup-norm, divergent when the sup-norm
-    crosses the threshold; raises InconclusiveError if the schedule runs
-    out first.
+    G f is +inf on a free component (no kill, no boundary) where f is
+    positive somewhere, since the constants there lie in the kernel of E;
+    the result is then not finite, decided from the spec before any
+    solve.  Otherwise E is coercive wherever f charges it, and the schedule
+    alpha0 * 2^-k is walked with warm starts until two consecutive iterates
+    agree in sup-norm; InconclusiveError if it runs out first.
     """
     f = spec.space.check_field(f)
     if np.any(f < 0):
         raise ParameterError("green requires f >= 0")
+    if any(np.any(f[comp] > 0) for comp in spec.free_components):
+        return GreenResult(False, None, [])
     trace: list[tuple[float, float]] = []
     prev = None
-    warm = None
     for k in range(depth + 1):
         alpha = alpha0 * 2.0**-k
-        g, _ = prox(spec, alpha, f, cfg, x0=warm)
+        g, _ = prox(spec, alpha, f, cfg, x0=prev)
         sup = float(np.max(np.abs(g), initial=0.0))
         trace.append((alpha, sup))
-        if sup > divergence_threshold:
-            return GreenResult(False, None, sup, trace)
         if prev is not None:
             # G_alpha f grows as alpha shrinks (f >= 0), so the sup trace
             # must be nondecreasing along the schedule
@@ -406,25 +409,11 @@ def green(
                     f"green trace decreased along the schedule (alpha={alpha:g})"
                 )
             if float(np.max(np.abs(g - prev))) < cfg.residual_tolerance:
-                return GreenResult(True, g, None, trace)
+                return GreenResult(True, g, trace)
         prev = g
-        warm = g
     raise InconclusiveError(
         "green schedule exhausted without a verdict", trace=trace
     )
-
-
-def _restrict(spec: EnergySpec, comp: np.ndarray) -> tuple[EnergySpec, np.ndarray]:
-    """Sub-spec induced on a component (index array into spec.space)."""
-    from .space import MeasureSpace
-
-    pts = tuple(spec.space.points[i] for i in comp)
-    keep = set(pts)
-    sub = MeasureSpace(pts, spec.space.mu[comp])
-    edges = tuple(e for e in spec.edges if e.u in keep and e.v in keep)
-    kill = tuple(k for k in spec.kill if k.point in keep)
-    boundary = frozenset(p for p in spec.boundary if p in keep)
-    return EnergySpec(sub, edges, kill, boundary), comp
 
 
 def green_on_nonneg(
@@ -433,45 +422,23 @@ def green_on_nonneg(
     cfg: ProxConfig = ProxConfig(),
     alpha0: float = 1.0,
     depth: int = 40,
-    divergence_threshold: float = 1e8,
 ) -> np.ndarray:
     """Coordinatewise extended Green value of f >= 0 (entries may be +inf).
 
-    The energy decouples over connected components.  A component with no
-    kill and no boundary carries the constants in its kernel: there G f is
-    identically +inf unless f vanishes on the component.  On the remaining
-    components the limit is computed numerically.
+    The energy decouples over connected components.  A free component (no
+    kill, no boundary) carries the constants in its kernel: there G f is
+    identically +inf unless f vanishes on the component, and 0 if it does.
+    Everywhere else one ``green`` schedule on the whole spec, with f set to
+    0 on the free components, gives the value.
     """
     f = spec.space.check_field(f)
     if np.any(f < 0):
         raise ParameterError("green_on_nonneg requires f >= 0")
-    out = np.zeros(spec.space.n)
-    free_index = np.zeros(spec.space.n, dtype=bool)
-    for c in spec.free_components:
-        free_index[c] = True
-    for comp in spec.components:
-        if free_index[comp[0]]:
-            if np.any(f[comp] > 0):
-                out[comp] = math.inf
-            else:
-                out[comp] = 0.0
-            continue
-        if len(comp) == spec.space.n:
-            sub, idx = spec, comp
-        else:
-            sub, idx = _restrict(spec, comp)
-        result = green(
-            sub,
-            f[idx],
-            cfg,
-            alpha0=alpha0,
-            depth=depth,
-            divergence_threshold=divergence_threshold,
-        )
-        if result.finite:
-            out[idx] = result.value
-        else:
-            # threshold crossed on a component with kill or boundary;
-            # treat as genuinely divergent coordinates
-            out[idx] = math.inf
+    f = f.copy()
+    divergent = np.zeros(spec.space.n, dtype=bool)
+    for comp in spec.free_components:
+        divergent[comp] = np.any(f[comp] > 0)
+        f[comp] = 0.0
+    out = green(spec, f, cfg, alpha0=alpha0, depth=depth).value
+    out[divergent] = math.inf
     return out

@@ -136,6 +136,27 @@ def two_vertex_spec(w: float = 1.0, p: float = 2.0, mu=(1.0, 1.0)) -> EnergySpec
     return EnergySpec(space, (Edge("a", "b", w, p),))
 
 
+def weak_edge_spec(w: float = 1e-9) -> EnergySpec:
+    """Two unit-mass points joined by one p = 2 edge of weight w, with b on
+    the Dirichlet boundary: G 1_a = (1/w, 0), finite however small w is."""
+    space = MeasureSpace(("a", "b"), np.ones(2))
+    return EnergySpec(space, (Edge("a", "b", w, 2.0),), (), frozenset({"b"}))
+
+
+def disjoint_union(parts: dict[str, EnergySpec]) -> EnergySpec:
+    """The specs side by side, each point renamed to its part's key plus
+    its own name, in the order of ``parts``."""
+    points, mu, edges, kill, boundary = [], [], [], [], set()
+    for key, spec in parts.items():
+        points += [key + p for p in spec.space.points]
+        mu.append(spec.space.mu)
+        edges += [Edge(key + e.u, key + e.v, e.weight, e.exponent) for e in spec.edges]
+        kill += [KillTerm(key + k.point, k.kappa, k.exponent) for k in spec.kill]
+        boundary |= {key + p for p in spec.boundary}
+    space = MeasureSpace(tuple(points), np.concatenate(mu))
+    return EnergySpec(space, tuple(edges), tuple(kill), frozenset(boundary))
+
+
 # -- quadratic oracles (independent of the iterative solvers) --------------
 
 

@@ -1,11 +1,13 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dirichletforms import StructuralError, prox
-from dirichletforms.cli import main
+from dirichletforms.cli import COMMANDS, main
 from dirichletforms.problemio import (
     ProblemFile,
     input_digest,
@@ -161,6 +163,7 @@ def test_csv_rows_equal_the_envelope_tables(argv, tables, problem_path, tmp_path
         ["luxemburg", "--field", "1", "--csv", "out.csv"],
         ["verify", "--alpha0", "2.0"],
         ["capacity", "--set", "a", "--terms", "3"],
+        ["green", "--field", "1", "--divergence-threshold", "1e8"],
     ],
 )
 def test_a_command_rejects_a_flag_it_does_not_read(argv, problem_path, capsys):
@@ -168,6 +171,19 @@ def test_a_command_rejects_a_flag_it_does_not_read(argv, problem_path, capsys):
         main([argv[0], problem_path, *argv[1:]])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_flag_table_matches_the_command_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| Subcommand | Flags |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        name, flags = re.fullmatch(r"\| `([a-z-]+)` \| (.*) \|", line).groups()
+        rows[name] = re.findall(r"`([^`]+)`", flags)
+    assert rows == {
+        name: list(command.flags) + (["--csv PATH"] if command.tables else [])
+        for name, command in COMMANDS.items()
+    }
 
 
 def test_exit_usage_on_bad_file(tmp_path, capsys):

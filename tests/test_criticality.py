@@ -6,6 +6,7 @@ import pytest
 from dirichletforms import (
     Edge,
     EnergySpec,
+    InconclusiveError,
     InternalCheckError,
     K_of,
     MeasureSpace,
@@ -28,6 +29,7 @@ from conftest import (
     random_connected_spec,
     single_vertex_spec,
     sparse_random_spec,
+    weak_edge_spec,
 )
 
 
@@ -44,6 +46,15 @@ def test_K_infinite_on_kernel_support():
     spec = EnergySpec(MeasureSpace(("a",), np.ones(1)))
     assert math.isinf(K_of(spec, np.array([1.0])))
     assert K_of(spec, np.array([0.0])) == 0.0  # convention 0 * inf = 0
+
+
+def test_K_is_finite_past_any_magnitude():
+    # K(1_a) = (G 1_a)_a = 1e9 on the weak edge: finite, or no verdict
+    try:
+        K = K_of(weak_edge_spec(1e-9), np.array([1.0, 0.0]))
+    except InconclusiveError:
+        return
+    assert K == pytest.approx(1e9, rel=1e-6)
 
 
 def test_hardy_upper_bound():
@@ -124,8 +135,9 @@ def test_one_exponent_K_tilde_is_the_closed_form(p, monkeypatch):
     calls = _count_K_of(monkeypatch)
     out = hardy_optimal_constant(spec, w, search_budget=0)
     assert out["K_tilde"] == pytest.approx(out["K"] ** ((p - 1.0) / p), rel=1e-14)
-    # K(w), and K(w / mu_hat) for the pass test; none for K-tilde
-    assert len(calls) == 2
+    # K(w / mu_hat) for the pass test; K(w) pairs the Gw of the battery,
+    # and K-tilde needs none
+    assert len(calls) == 1
 
 
 def test_one_exponent_classify_rescale_is_the_closed_form(monkeypatch):

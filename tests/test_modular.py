@@ -27,6 +27,7 @@ from conftest import (
     random_connected_spec,
     single_vertex_spec,
     two_vertex_spec,
+    weak_edge_spec,
 )
 
 
@@ -220,6 +221,14 @@ def test_conjugate_diverges_on_kernel_pairing():
     # orthogonal to the kernel: finite
     res2 = convex_conjugate(spec, np.array([1.0, -1.0]))
     assert not res2.diverged and math.isfinite(res2.value)
+
+
+def test_conjugate_is_finite_past_any_magnitude():
+    # E(x) = 1e-9 (x_a - x_b)^2 / 2 with x_b = 0: the maximizer is x_a = 1e9
+    # and E*(1_a) = 1e9 - 1e-9 * 1e18 / 2 = 5e8
+    res = convex_conjugate(weak_edge_spec(1e-9), np.array([1.0, 0.0]))
+    assert not res.diverged
+    assert res.value == pytest.approx(5e8, rel=1e-12)
 
 
 def test_conjugate_at_300_points_matches_sparse_solve():

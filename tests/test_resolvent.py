@@ -24,11 +24,11 @@ from dirichletforms import resolvent
 from dirichletforms.resolvent import (
     _DENSE_MAX,
     _newton_direction,
-    _restrict,
     _solve_shifted,
     energy_hessian,
 )
 from conftest import (
+    disjoint_union,
     green_oracle,
     grid_spec,
     path_spec,
@@ -36,6 +36,7 @@ from conftest import (
     random_connected_spec,
     single_vertex_spec,
     two_vertex_spec,
+    weak_edge_spec,
 )
 
 CFG = ProxConfig()
@@ -280,19 +281,27 @@ def test_green_matches_linear_oracle():
     assert np.max(np.abs(out - green_oracle(spec, f))) < 1e-6
 
 
+def _count_green(monkeypatch) -> list:
+    calls = []
+    real = resolvent.green
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(resolvent, "green", counting)
+    return calls
+
+
 def test_green_on_whole_graph_component_builds_no_sub_spec(monkeypatch):
     spec = random_connected_spec(12, seed=13, n_kill=2, n_boundary=1)
     assert len(spec.components) == 1
     f = np.random.default_rng(13).uniform(0.0, 1.0, size=spec.space.n)
-    sub, idx = _restrict(spec, np.arange(spec.space.n))
-    expected = green(sub, f[idx]).value
-
-    def no_restrict(*args):
-        raise AssertionError("sub-spec built for a whole-graph component")
-
-    monkeypatch.setattr(resolvent, "_restrict", no_restrict)
+    expected = green(spec, f).value
+    calls = _count_green(monkeypatch)
     out = green_on_nonneg(spec, f)
     assert np.array_equal(out, expected)
+    assert len(calls) == 1 and calls[0][0] is spec
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
@@ -345,9 +354,47 @@ def test_green_trace_monotone_and_finite():
 
 def test_green_divergence_on_critical():
     spec = two_vertex_spec()
-    result = green(spec, np.array([1.0, 1.0]), divergence_threshold=1e4)
+    result = green(spec, np.array([1.0, 1.0]))
     assert not result.finite
-    assert result.scale_at_exit > 1e4
+
+
+def test_green_on_nonneg_is_finite_past_any_magnitude():
+    # G 1_a = (1e9, 0): a large finite value, never +inf, and 0 on the boundary
+    spec = weak_edge_spec(1e-9)
+    try:
+        out = green_on_nonneg(spec, np.array([1.0, 0.0]))
+    except InconclusiveError:
+        return  # the alpha -> 0 schedule may not settle on values this large
+    assert out[1] == 0.0
+    assert out[0] == pytest.approx(1e9, rel=1e-6)
+
+
+@pytest.mark.parametrize("charge", [0.0, 1.0])
+def test_green_on_nonneg_decides_free_components_and_solves_the_rest(charge, monkeypatch):
+    # one free component (no kill, no boundary) and two coercive ones, at p = 2
+    parts = {
+        "A": random_connected_spec(6, seed=31, n_kill=2),
+        "B": random_connected_spec(5, seed=32, n_boundary=1),
+    }
+    spec = disjoint_union({"F": random_connected_spec(4, seed=30), **parts})
+    coercive = disjoint_union(parts)
+    assert len(spec.free_components) == 1 and len(spec.components) == 3
+    free = spec.free_components[0]
+    rest = np.setdiff1d(np.arange(spec.space.n), free)
+    f = np.random.default_rng(33).uniform(0.1, 1.0, size=spec.space.n)
+    f[free] *= charge
+
+    calls = _count_green(monkeypatch)
+    out = green_on_nonneg(spec, f)
+    assert len(calls) == 1  # one schedule for both coercive components
+    assert np.max(np.abs(out[rest] - green_oracle(coercive, f[rest]))) < 1e-6
+    assert np.all(out[free] == (math.inf if charge else 0.0))
+
+    # green itself decides a charged free component before any solve
+    result = green(spec, f)
+    assert result.finite == (charge == 0.0)
+    if charge:
+        assert result.value is None and result.alpha_trace == []
 
 
 def test_green_kernel_component_is_infinite():
