@@ -12,12 +12,12 @@ Newton method with an active set: backtracking on the optimality residual
 ||grad E(g) + alpha g - f||_mu, zeroed where a bound holds the coordinate.
 Each Newton direction solves the Hessian system on the free coordinates:
 densely below a measured size, above it by a sparse LU of the Hessian
-assembled from a pattern cached on the spec.  When Newton stalls, one
-L-BFGS-B run over the box takes over and Newton then polishes its result
-down to the configured tolerance.  For alpha > 0 the residual bounds the
-error by residual / alpha; at alpha = 0 it bounds nothing where E is flat
-(near constants, or at p > 2), so there the last Newton step must be below
-the tolerance too.
+assembled from a pattern cached on the spec.  Where E is not twice
+differentiable no step may cut the residual, and the same loop backtracks
+on the objective instead.  For alpha > 0 the residual bounds the error by
+residual / alpha; at alpha = 0 it bounds nothing where E is flat (near
+constants, or at p > 2), so there the last Newton step must be below the
+tolerance too.
 
 The Green operator G f = lim_{alpha -> 0+} G_alpha f is +inf exactly where
 f charges a component with no kill and no boundary; ``green`` decides that
@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .energy import EnergySpec, energy, energy_gradient, perturb
@@ -51,6 +51,8 @@ class ProxConfig:
     def __post_init__(self):
         if not self.residual_tolerance > 0:
             raise ParameterError("residual_tolerance must be > 0")
+        if self.max_iterations < 0:
+            raise ParameterError("max_iterations must be >= 0")
 
 
 @dataclass
@@ -63,8 +65,10 @@ class SolveReport:
 
 # backtracking: each rejected step is shrunk by _SHRINK, and a step of
 # length t is accepted when it cuts the residual by the factor 1 - _ARMIJO t
+# (or the objective by _ARMIJO times its slope, down to _EPS-sized steps)
 _SHRINK = 0.5
 _ARMIJO = 1e-4
+_EPS = np.finfo(float).eps
 
 _CURVATURE_CAP = 1e12  # exponents below 2 have unbounded curvature at zero
 
@@ -158,13 +162,16 @@ def _solve_shifted(
 
     ``lo`` / ``hi`` are per-coordinate bounds (None: unbounded); boundary
     coordinates are pinned at 0, and ``x0`` (None: 0) is clipped into the
-    box.  Damped Newton on the projected residual r = grad E + alpha g - f,
-    zeroed where a bound holds the coordinate, steps on the free set: the
-    non-boundary coordinates off their bounds or with a nonzero projected
-    residual.  If Newton stalls, one bounded L-BFGS-B run restarts it.  The
-    report's ``converged`` compares the mu-norm of the projected residual
-    with the tolerance; at alpha = 0 Newton also goes on until its last
-    step is below the tolerance.
+    box.  One projected Newton loop of at most ``cfg.max_iterations`` steps
+    on the projected residual r = grad E + alpha g - f, zeroed where a bound
+    holds the coordinate, over the free set: the non-boundary coordinates
+    off their bounds or with a nonzero r.  Each step backtracks on the
+    residual, or, if that fails above the tolerance, by the Armijo rule on
+    the objective (Bertsekas, SIAM J. Control Optim. 20, 1982), along the
+    Newton direction or else along -r; if none accepts a step the loop
+    stops.  The report's ``converged`` compares the mu-norm of r with the
+    tolerance; at alpha = 0 the loop also goes on until its last step is
+    below the tolerance.
     """
     n = spec.space.n
     mu = spec.space.mu
@@ -182,84 +189,78 @@ def _solve_shifted(
     shift = alpha if alpha > 0 else 1e-14
     tol = cfg.residual_tolerance
 
-    def residual(g):
-        # mu-representation of the objective gradient, zero on boundary
+    def projected(g):
+        # mu-representation of the objective gradient, zero on the boundary
+        # and where a bound holds the coordinate
         r = energy_gradient(spec, g) + alpha * g - f
         r[spec.boundary_mask] = 0.0
-        return r
-
-    def projected(g):
-        r = residual(g)
         if boxed:
             r[((g <= lo_in) & (r > 0)) | ((g >= hi_in) & (r < 0))] = 0.0
         return r, math.sqrt(float(np.sum(mu * r * r)))
 
-    def done(rnorm, step):
-        # for alpha > 0 the residual bounds the error by rnorm / alpha; at
-        # alpha = 0 it bounds nothing where E is flat (near constants, or at
-        # p > 2), so the last step, which estimates the error, must be below
-        # the tolerance as well
-        return rnorm <= tol and (alpha > 0 or step <= tol)
+    def objective(g):
+        return energy(spec, g) + float(np.sum(mu * g * (0.5 * alpha * g - f)))
 
-    def newton(g, budget):
-        r, rnorm = projected(g)
-        it, step = 0, math.inf
-        while not done(rnorm, step) and it < budget:
-            free = free_mask
+    def descend(g, r, delta):
+        # Armijo on the objective along delta, whose slope is <mu r, step>;
+        # None once the step is rounding-sized against g
+        value, floor = objective(g), _EPS * math.sqrt(float(np.sum(mu * g * g)))
+        t = 1.0
+        while True:
+            g_new = g + t * delta
             if boxed:
-                free = free & ((r != 0) | ((g > lo_in) & (g < hi_in)))
-            delta = _newton_direction(spec, g, shift, free, -(mu * r))
-            if delta is None:  # singular block: the shift's own Newton step
-                delta = np.where(free, -r / (alpha or 1.0), 0.0)
-            t = 1.0
-            while True:
-                g_new = g + t * delta
-                if boxed:
-                    np.clip(g_new, lo, hi, out=g_new)
+                np.clip(g_new, lo, hi, out=g_new)
+            d = g_new - g
+            if math.sqrt(float(np.sum(mu * d * d))) <= floor:
+                return None
+            if objective(g_new) <= value + _ARMIJO * float(np.sum(mu * r * d)):
+                return g_new
+            t *= _SHRINK
+
+    g = np.clip(np.zeros(n) if x0 is None else spec.space.check_field(x0), lo, hi)
+    r, rnorm = projected(g)
+    it, step, last = 0, math.inf, None
+    # for alpha > 0 the residual bounds the error by rnorm / alpha; at alpha
+    # = 0 it bounds nothing where E is flat (near constants, or at p > 2), so
+    # the last step, which estimates the error, must be below the tolerance
+    while it < cfg.max_iterations and (rnorm > tol or (alpha <= 0 and step > tol)):
+        free = free_mask
+        if boxed:
+            free = free & ((r != 0) | ((g > lo_in) & (g < hi_in)))
+        delta = _newton_direction(spec, g, shift, free, -(mu * r))
+        if delta is None:  # singular block: the shift's own Newton step
+            delta = np.where(free, -r / (alpha or 1.0), 0.0)
+        t = 1.0
+        while True:
+            g_new = g + t * delta
+            if boxed:
+                np.clip(g_new, lo, hi, out=g_new)
+            r_new, rnorm_new = projected(g_new)
+            if rnorm_new < rnorm * (1.0 - _ARMIJO * t):
+                break
+            t *= _SHRINK
+            # below the tolerance only full steps refine the iterate
+            if t <= 1e-12 or rnorm <= tol:
+                g_new = None
+                break
+        if g_new is None and rnorm > tol:
+            # where E is not twice differentiable (p < 2, or zero differences
+            # at p > 2) the objective still falls along delta.  Else a step
+            # along -r frees points the curvature cap holds at a zero
+            # difference; only from below where the last one started, so it
+            # cannot cycle with the residual search
+            g_new = descend(g, r, delta)
+            if g_new is None and (last is None or objective(g) < objective(last)):
+                g_new, last = descend(g, r, np.where(free, -r, 0.0)), g
+            if g_new is not None:
                 r_new, rnorm_new = projected(g_new)
-                if rnorm_new < rnorm * (1.0 - _ARMIJO * t):
-                    break
-                t *= _SHRINK
-                # below the tolerance only full steps refine the iterate
-                if t <= 1e-12 or rnorm <= tol:
-                    return g, rnorm, it
-            step = math.sqrt(float(np.sum(mu * (g_new - g) ** 2)))
-            g, r, rnorm = g_new, r_new, rnorm_new
-            it += 1
-        return g, rnorm, it
+        if g_new is None:
+            break
+        step = math.sqrt(float(np.sum(mu * (g_new - g) ** 2)))
+        g, r, rnorm = g_new, r_new, rnorm_new
+        it += 1
 
-    g = np.zeros(n) if x0 is None else spec.space.check_field(x0)
-    g, rnorm, it = newton(np.clip(g, lo, hi), min(60, cfg.max_iterations))
-
-    if rnorm > tol:
-
-        def fun(x):
-            value = energy(spec, x) + float(np.sum(mu * x * (0.5 * alpha * x - f)))
-            return value, mu * residual(x)
-
-        res = optimize.minimize(
-            fun,
-            g,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=optimize.Bounds(lo, hi),
-            options={
-                "maxiter": min(2000, cfg.max_iterations),
-                "ftol": 1e-18,
-                "gtol": 1e-14,
-            },
-        )
-        # scipy omits nit when every variable is pinned by equal bounds
-        it += int(getattr(res, "nit", 0))
-        g, rnorm, it2 = newton(np.clip(res.x, lo, hi), cfg.max_iterations)
-        it += it2
-
-    report = SolveReport(
-        iterations=it,
-        residual=rnorm,
-        converged=rnorm <= tol,
-    )
-    return g, report
+    return g, SolveReport(iterations=it, residual=rnorm, converged=rnorm <= tol)
 
 
 def _require_converged(what: str, g, report: SolveReport, cfg: ProxConfig):

@@ -264,6 +264,16 @@ def test_every_command_rejects_a_nonpositive_tolerance(problem_path):
     assert main(["classify", problem_path, "--tol", "0"]) == 2
 
 
+def test_a_negative_iteration_budget_is_a_usage_error(problem_path, tmp_path, capsys):
+    assert main(["resolvent", problem_path, "--field", "1", "--max-iter", "-1"]) == 2
+    doc = json.loads(json.dumps(PROBLEM))
+    doc["defaults"] = {"max_iterations": -1}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    assert main(["resolvent", str(path), "--field", "1"]) == 2
+    assert "max_iterations" in capsys.readouterr().err
+
+
 def test_hardy_weight_command(problem_path, capsys):
     assert main(["hardy-weight", problem_path]) == 0
     envelope = json.loads(capsys.readouterr().out)

@@ -122,6 +122,8 @@ def test_excessive_envelope_infeasible_on_boundary():
     spec = path_spec(2)
     with pytest.raises(InfeasibleError):
         excessive_envelope(spec, np.ones(3), {"2"})
+    with pytest.raises(InfeasibleError):
+        capacity(spec, {"2"}, np.ones(3))
 
 
 def test_equilibrium_potential_properties():
@@ -183,6 +185,70 @@ def test_capacity_raises_when_the_obstacle_solve_does_not_converge():
     with pytest.raises(NonConvergenceError) as exc:
         capacity(spec, {"v1"}, np.ones(6), cfg)
     assert exc.value.report.converged is False
+
+
+def _criterion_7_specs():
+    # the ten specs of the acceptance gate's criterion 7
+    rng = np.random.default_rng(707)
+    for trial in range(10):
+        n_kill = int(rng.integers(1, 4))
+        yield random_connected_spec(5, seed=7000 + trial, p_range=(1.8, 3.0), n_kill=n_kill)
+
+
+def _random_capacity_problem(seed: int, p_range):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 30))
+    spec = random_connected_spec(n, seed=seed, p_range=p_range, n_kill=int(rng.integers(1, 4)))
+    target = rng.random(n) < 0.3
+    target[int(rng.integers(n))] = True
+    return spec, frozenset(np.array(spec.space.points)[target])
+
+
+def _sound_capacity(spec, A) -> float:
+    """cap_1(A), checked: converged, equal to the cross-check, and with no
+    feasible descent direction at the equilibrium."""
+    res = capacity(spec, A, np.ones(spec.space.n))
+    assert res.report.converged
+    alt = res.report.extras["alternative_value"]
+    assert alt == pytest.approx(res.value, rel=1e-9, abs=1e-12)
+    free = spec.free_mask
+    off = free & ~spec.space.indicator(A)
+    assert np.all(one_sided_derivatives(spec, res.equilibrium)[free] >= -DERIVATIVE_TOL)
+    assert np.all(one_sided_derivatives(spec, res.equilibrium, -1.0)[off] >= -DERIVATIVE_TOL)
+    return res.value
+
+
+def test_obstacle_solves_converge_by_newton_alone(monkeypatch):
+    # these solves start at the obstacle, with zero differences where E is
+    # not twice differentiable: each capacity makes a one-sided (equilibrium)
+    # and a two-sided (cross-check) obstacle solve, and no other minimizer
+    # may be called
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.optimize.minimize called")
+
+    monkeypatch.setattr("scipy.optimize.minimize", refuse)
+    problems = [
+        (spec, frozenset(A))
+        for spec in _criterion_7_specs()
+        for k in range(1, 6)
+        for A in itertools.combinations(spec.space.points, k)
+    ]
+    problems += [_random_capacity_problem(seed, (1.8, 3.0)) for seed in range(40)]
+    assert len(problems) == 350
+    for spec, A in problems:
+        _sound_capacity(spec, A)
+    example = random_connected_spec(5, seed=7001, p_range=(1.8, 3.0), n_kill=2)
+    assert _sound_capacity(example, {"v0", "v2"}) == pytest.approx(1.0403859483656785, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed, value", [(0, 1.4093521084145062), (18, 0.6262519934916695)])
+def test_a_gradient_step_frees_a_point_held_at_a_zero_difference(seed, value):
+    # started at the obstacle 1, a point off the target sits at a zero
+    # difference on an edge with p < 2, where the capped curvature makes its
+    # Newton step smaller than the rounding of 1: neither search along the
+    # Newton direction can move it, a step along -r does
+    spec, A = _random_capacity_problem(seed, (1.5, 3.5))
+    assert _sound_capacity(spec, A) == pytest.approx(value, rel=1e-12)
 
 
 def _count_splu(monkeypatch) -> list:
@@ -257,6 +323,27 @@ def test_choquet_axioms_small_family():
     family = [frozenset(s) for k in range(3) for s in itertools.combinations(pts, k)]
     report = choquet_suite(spec, np.ones(4), family)
     assert report["pass"], report
+
+
+def test_choquet_suite_does_not_swallow_a_failed_check(monkeypatch):
+    def failing(*args, **kwargs):
+        raise InternalCheckError("planted")
+
+    monkeypatch.setattr("dirichletforms.potential.capacity", failing)
+    spec = random_connected_spec(4, seed=6, n_kill=1)
+    with pytest.raises(InternalCheckError, match="planted"):
+        choquet_suite(spec, np.ones(4), [{"v0"}, {"v1"}])
+
+
+def test_choquet_suite_lists_a_solver_failure(monkeypatch):
+    def failing(*args, **kwargs):
+        raise NonConvergenceError("planted")
+
+    monkeypatch.setattr("dirichletforms.potential.capacity", failing)
+    spec = random_connected_spec(4, seed=6, n_kill=1)
+    report = choquet_suite(spec, np.ones(4), [{"v0"}, {"v1"}])
+    assert report["failures"] == [(["v0"], ["v1"], "planted")]
+    assert report["pass"] is False
 
 
 def test_capacity_zero_property():

@@ -83,6 +83,21 @@ def test_prox_parameter_validation():
         prox(spec, 0.0, np.zeros(2))
     with pytest.raises(ParameterError):
         ProxConfig(residual_tolerance=0.0)
+    with pytest.raises(ParameterError):
+        ProxConfig(max_iterations=-1)
+
+
+@pytest.mark.parametrize("budget", [0, 1, 5])
+def test_reported_iterations_stay_within_the_budget(budget):
+    # an obstacle solve that needs 8 iterations, so each of these budgets
+    # runs out; the report counts Newton iterations and no more
+    spec = random_connected_spec(6, seed=1, n_kill=2, p_range=(1.8, 3.0))
+    lower = np.full(6, -np.inf)
+    lower[1] = 1.0
+    cfg = ProxConfig(max_iterations=budget)
+    _, report = _solve_shifted(spec, 0.0, np.zeros(6), lower, None, np.ones(6), cfg)
+    assert report.iterations <= budget
+    assert report.converged is False
 
 
 def test_prox_nonconvergence_reports_best():
