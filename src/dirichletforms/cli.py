@@ -8,8 +8,8 @@ handler reads.  Every subcommand takes ``--seed``, ``--tol`` and
 ``--max-iter``; ``--csv`` goes only to the subcommands with tables, and
 every other flag only to the subcommands that read it.  Results are
 emitted as a JSON envelope on stdout.  Exit codes: verification failed 1,
-usage 2, infeasible 3, non-convergence 4, inconclusive 5, internal check
-failed 6.
+usage 2 (also a malformed flag value), infeasible 3, non-convergence 4,
+inconclusive 5, internal check failed 6.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .errors import (
     InternalCheckError,
     NonConvergenceError,
     DirichletFormError,
+    StructuralError,
 )
 from .problemio import (
     ProblemFile,
@@ -63,22 +64,25 @@ def _load(args) -> tuple[ProblemFile, EnergySpec, ProxConfig]:
     """
     with open(args.problem) as fh:
         problem = parse_problem(fh.read())
-    tol = args.tol if args.tol is not None else float(problem.defaults.get("tol", 1e-9))
-    if args.max_iter is not None:
-        max_iter = args.max_iter
-    else:
-        max_iter = int(problem.defaults.get("max_iterations", 20_000))
-    cfg = ProxConfig(residual_tolerance=tol, max_iterations=max_iter)
+    built_in = ProxConfig()
+    tol, max_iter = args.tol, args.max_iter
+    if tol is None:
+        tol = problem.defaults.get("tol", built_in.residual_tolerance)
+    if max_iter is None:
+        max_iter = problem.defaults.get("max_iterations", built_in.max_iterations)
+    cfg = ProxConfig(residual_tolerance=float(tol), max_iterations=max_iter)
     return problem, problem.spec, cfg
 
 
-def _field_from_arg(spec: EnergySpec, arg: str | None, default=0.0):
+def _field_from_arg(spec: EnergySpec, arg: str | None, flag: str, default=0.0):
+    """The field that the value ``arg`` of ``flag`` gives as JSON (a number
+    or a point -> number map), or the constant ``default`` without it."""
     if arg is None:
         return spec.space.field(default)
-    values = json.loads(arg)
-    if isinstance(values, (int, float)):
-        return spec.space.field(float(values))
-    return spec.space.field(values)
+    try:
+        return spec.space.field(json.loads(arg))
+    except (json.JSONDecodeError, StructuralError) as exc:
+        raise StructuralError(f"{flag}: {exc}") from None
 
 
 def _classify(args, spec, cfg) -> dict:
@@ -96,7 +100,7 @@ def _classify(args, spec, cfg) -> dict:
 
 def _capacity(args, spec, cfg) -> dict:
     target = set(args.set.split(",")) if args.set else set()
-    h = _field_from_arg(spec, args.h, default=1.0)
+    h = _field_from_arg(spec, args.h, "--h", default=1.0)
     res = potential.capacity(spec, target, h, cfg)
     return {
         "capacity": res.value,
@@ -114,7 +118,7 @@ def _hardy_weight(args, spec, cfg) -> dict:
 
 
 def _resolvent(args, spec, cfg) -> dict:
-    f = _field_from_arg(spec, args.field)
+    f = _field_from_arg(spec, args.field, "--field")
     g, report = resolvent.prox(spec, args.alpha0, f, cfg)
     return {
         "alpha": args.alpha0,
@@ -125,7 +129,7 @@ def _resolvent(args, spec, cfg) -> dict:
 
 
 def _green(args, spec, cfg) -> dict:
-    f = _field_from_arg(spec, args.field)
+    f = _field_from_arg(spec, args.field, "--field")
     value = resolvent.green_on_nonneg(
         spec, f, cfg, alpha0=args.alpha0, depth=args.schedule_depth
     )
@@ -133,14 +137,17 @@ def _green(args, spec, cfg) -> dict:
 
 
 def _luxemburg(args, spec, cfg) -> dict:
-    f = _field_from_arg(spec, args.field)
+    f = _field_from_arg(spec, args.field, "--field")
     query = modular.LuxemburgQuery(r=args.r)
     return {"norm": modular.luxemburg_norm(spec, f, query), "r": args.r}
 
 
 def _profile(args, spec, cfg) -> dict:
-    r_grid = [float(r) for r in args.r_grid.split(",")]
-    w = _field_from_arg(spec, args.weight, default=1.0)
+    try:
+        r_grid = [float(r) for r in args.r_grid.split(",")]
+    except ValueError:
+        raise StructuralError(f"--r-grid: {args.r_grid!r} is not a list of numbers") from None
+    w = _field_from_arg(spec, args.weight, "--weight", default=1.0)
     if args.kind == "hardy":
         weak_profile = criticality.weak_hardy_profile
     else:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .energy import EnergySpec, connected_components, energy
 from .errors import InconclusiveError, InternalCheckError, NonConvergenceError, ParameterError
-from .modular import _scale_root, luxemburg_norm
+from .modular import _luxemburg, _scale_root
 from .potential import equilibrium_potential
 from .resolvent import ProxConfig, green, green_on_nonneg, perturb, prox
 from .space import weighted_lp_norm
@@ -56,7 +56,7 @@ def hardy_upper_check(spec: EnergySpec, w, battery, cfg: ProxConfig = ProxConfig
     for f in battery:
         f = spec.space.check_field(f)
         lhs = float(np.sum(spec.space.mu * np.abs(f) * w))
-        rhs = (1.0 + K) * luxemburg_norm(spec, f)
+        rhs = (1.0 + K) * _luxemburg(spec, f, 1.0)
         margin = rhs - lhs
         worst = min(worst, margin if not math.isinf(rhs) else math.inf)
         if not math.isinf(rhs) and margin < -HARDY_TOL * max(1.0, rhs):
@@ -67,7 +67,7 @@ def hardy_upper_check(spec: EnergySpec, w, battery, cfg: ProxConfig = ProxConfig
 def _local_ascent_ratio(spec, w, f0, evals, rng):
     """Hill-climb the Hardy ratio int |f| w dmu / ||f||_L from f0."""
     def ratio(f):
-        nl = luxemburg_norm(spec, f)
+        nl = _luxemburg(spec, f, 1.0)
         if nl <= _LUX_TOL or math.isinf(nl):
             return -math.inf
         return float(np.sum(spec.space.mu * np.abs(f) * w)) / nl
@@ -76,10 +76,9 @@ def _local_ascent_ratio(spec, w, f0, evals, rng):
     best = ratio(f0)
     sigma = 0.3
     for _ in range(evals):
-        cand = spec.project_feasible(
-            best_f * (1.0 + sigma * rng.normal(size=spec.space.n))
-            + 0.05 * sigma * rng.normal(size=spec.space.n)
-        )
+        cand = best_f * (1.0 + sigma * rng.normal(size=spec.space.n))
+        cand += 0.05 * sigma * rng.normal(size=spec.space.n)
+        cand[spec.boundary_mask] = 0.0
         r = ratio(cand)
         if r > best:
             best, best_f = r, cand
@@ -385,7 +384,7 @@ def _battery_profile(spec: EnergySpec, r_grid, search_budget, seed, terms):
     alphas = [0.0] * len(r_grid)
     certs: list[np.ndarray | None] = [None] * len(r_grid)
     for f in battery:
-        nl = luxemburg_norm(spec, f)
+        nl = _luxemburg(spec, f, 1.0)
         if nl <= _LUX_TOL or math.isinf(nl):
             continue
         num, penalty = terms(f)
@@ -452,8 +451,8 @@ def weak_poincare_profile(
     w = spec.space.check_field(w)
     if not np.all(w > 0):
         raise ParameterError("weak_poincare_profile requires w > 0")
-    kb = spec.kernel_basis
-    if len(kb) != 1 or not np.all(kb[0] == 1.0):
+    fc = spec.free_components
+    if len(fc) != 1 or len(fc[0]) != spec.space.n:
         raise ParameterError(
             "weak_poincare_profile requires kernel = span{1} (critical irreducible)"
         )

@@ -23,8 +23,6 @@ from scipy.sparse import csgraph
 from .errors import InfeasibleError, ParameterError, StructuralError
 from .space import MeasureSpace, lattice_ops
 
-FEASIBILITY_TOL = 0.0  # boundary values must be exactly zero
-
 # Margin tolerance for all inequality checks, scaled by max(1, |RHS|).
 INEQ_TOL = 1e-9
 
@@ -199,24 +197,14 @@ class EnergySpec:
                 out.append(comp)
         return out
 
-    @cached_property
-    def kernel_basis(self) -> list[np.ndarray]:
-        basis = []
-        for comp in self.free_components:
-            v = np.zeros(self.space.n)
-            v[comp] = 1.0
-            basis.append(v)
-        return basis
-
-    # -- feasibility -------------------------------------------------------
+    # -- feasibility: exactly zero on the boundary --------------------------
 
     def is_feasible(self, f) -> bool:
-        f = self.space.check_field(f)
-        return bool(np.all(np.abs(f[self.boundary_mask]) <= FEASIBILITY_TOL))
+        return not self.space.check_field(f)[self.boundary_mask].any()
 
     def require_feasible(self, f) -> np.ndarray:
         f = self.space.check_field(f)
-        if not self.is_feasible(f):
+        if f[self.boundary_mask].any():
             raise InfeasibleError("field is nonzero on the Dirichlet boundary")
         return f
 
@@ -235,18 +223,14 @@ def _term_sum(spec: EnergySpec, d, k) -> float:
     """E of a field with edge differences ``d`` and killed values ``k``."""
     _, _, ew, ep = spec._edge_arrays
     ki, kk, kq = spec._kill_arrays
-    total = 0.0
-    if len(d):
-        total += float(np.sum(ew / ep * np.abs(d) ** ep))
-    if len(k):
-        total += float(np.sum(kk / kq * spec.space.mu[ki] * np.abs(k) ** kq))
-    return total
+    edges = float(np.sum(ew / ep * np.abs(d) ** ep))
+    return edges + float(np.sum(kk / kq * spec.space.mu[ki] * np.abs(k) ** kq))
 
 
 def energy(spec: EnergySpec, f) -> float:
     """Evaluate E(f); +inf iff f violates the boundary constraint."""
     f = spec.space.check_field(f)
-    if not spec.is_feasible(f):
+    if f[spec.boundary_mask].any():
         return math.inf
     eu, ev, _, _ = spec._edge_arrays
     return _term_sum(spec, f[eu] - f[ev], f[spec._kill_arrays[0]])
@@ -257,17 +241,19 @@ def energy_gradient(spec: EnergySpec, f) -> np.ndarray:
 
     Boundary coordinates are reported as 0 (the energy is restricted there).
     """
-    f = spec.require_feasible(f)
+    return _gradient(spec, spec.require_feasible(f))
+
+
+def _gradient(spec: EnergySpec, f) -> np.ndarray:
+    """``energy_gradient`` of a checked, feasible f."""
     g = np.zeros(spec.space.n)
     eu, ev, ew, ep = spec._edge_arrays
-    if len(eu):
-        t = ew * _phi(f[eu] - f[ev], ep)
-        np.add.at(g, eu, t)
-        np.add.at(g, ev, -t)
+    t = ew * _phi(f[eu] - f[ev], ep)
+    np.add.at(g, eu, t)
+    np.add.at(g, ev, -t)
     g /= spec.space.mu
     ki, kk, kq = spec._kill_arrays
-    if len(ki):
-        np.add.at(g, ki, kk * _phi(f[ki], kq))
+    np.add.at(g, ki, kk * _phi(f[ki], kq))
     g[spec.boundary_mask] = 0.0
     return g
 

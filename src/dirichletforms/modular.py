@@ -20,7 +20,7 @@ import numpy as np
 from scipy import optimize
 
 from .energy import INEQ_TOL, EnergySpec, _term_sum, energy, energy_gradient
-from .errors import InfeasibleError, InternalCheckError, ParameterError
+from .errors import InternalCheckError, ParameterError
 from .resolvent import ProxConfig, _require_converged, _solve_shifted, prox
 
 KERNEL_TOL = 1e-12  # of ``in_kernel``, relative to max(1, max|f|)
@@ -46,7 +46,11 @@ def in_kernel(spec: EnergySpec, f) -> bool:
     and is constant on each of them, to ``KERNEL_TOL`` relative to
     max(1, max|f|).
     """
-    f = spec.space.check_field(f)
+    return _in_kernel(spec, spec.space.check_field(f))
+
+
+def _in_kernel(spec: EnergySpec, f) -> bool:
+    """``in_kernel`` of a checked f."""
     scale = max(1.0, float(np.max(np.abs(f), initial=0.0)))
     free = np.zeros(spec.space.n, dtype=bool)
     for comp in spec.free_components:
@@ -79,10 +83,14 @@ def luxemburg_norm(
     spec: EnergySpec, f, query: LuxemburgQuery = LuxemburgQuery()
 ) -> float:
     """||f||_{L,r}; 0 on the kernel, +inf off the feasible set."""
-    f = spec.space.check_field(f)
-    if not spec.is_feasible(f):
+    return _luxemburg(spec, spec.space.check_field(f), query.r)
+
+
+def _luxemburg(spec: EnergySpec, f, r: float) -> float:
+    """``luxemburg_norm`` at level r of a checked f."""
+    if f[spec.boundary_mask].any():
         return math.inf
-    if in_kernel(spec, f):
+    if _in_kernel(spec, f):
         return 0.0
     eu, ev, _, _ = spec._edge_arrays
     ki, kk, _ = spec._kill_arrays
@@ -91,7 +99,7 @@ def luxemburg_norm(
     d, k = f[eu] - f[ev], f[ki]
     # ||f|| = s ||f / s||: the largest term base of E(f / s) is 1, so it cannot underflow
     s = float(np.max(np.abs(np.concatenate((d, k[kk > 0])))))
-    d, k, r = d / s, k / s, query.r
+    d, k = d / s, k / s
     return s * _scale_root(lambda t: _term_sum(spec, d / t, k / t) / r, _term_sum(spec, d, k) / r,
                            (spec.min_exponent, spec.max_exponent), 1e-15)
 
@@ -148,9 +156,9 @@ def directional_derivative(spec: EnergySpec, f, g) -> float:
     """
     grad = energy_gradient(spec, f)  # raises on an infeasible f
     g = spec.space.check_field(g)
-    if not spec.is_feasible(g):
+    if g[spec.boundary_mask].any():
         return math.inf
-    return spec.space.inner(grad, g)
+    return float(np.sum(spec.space.mu * grad * g))
 
 
 @dataclass
@@ -173,9 +181,10 @@ def convex_conjugate(spec: EnergySpec, phi, x0=None) -> ConjugateResult:
     shifted-energy core at alpha = 0, however large the maximizer is.
     """
     phi = spec.space.check_field(phi)
+    x0 = None if x0 is None else spec.space.check_field(x0)
     scale = max(1.0, float(np.max(np.abs(phi), initial=0.0)))
-    for k in spec.kernel_basis:
-        if abs(spec.space.inner(phi, k)) > 1e-12 * scale * spec.space.total_mass():
+    for comp in spec.free_components:
+        if abs(np.sum(spec.space.mu[comp] * phi[comp])) > 1e-12 * scale * spec.space.total_mass():
             return ConjugateResult(math.inf, None, True)
 
     x, report = _solve_shifted(spec, 0.0, phi, None, None, x0, _CONJUGATE_CFG)
@@ -197,9 +206,7 @@ def duality_recover(
     lambda -> 0+.  Each record also carries the duality-gap residual
     |<g, J>_mu - (E(J) + E*(g))|.
     """
-    f = spec.space.check_field(f)
-    if not spec.is_feasible(f):
-        raise InfeasibleError("duality_recover requires feasible f")
+    f = spec.require_feasible(f)
     records = []
     warm = None
     for lam in lambda_schedule:

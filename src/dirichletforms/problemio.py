@@ -11,9 +11,11 @@ A problem file looks like::
       "defaults": {"tol": 1e-9}
     }
 
-Parsing validates every EnergySpec invariant and names the offending record
-in error messages.  ``serialize(parse(text))`` is a normal form: parsing it
-again yields an identical structure.
+Parsing validates every EnergySpec invariant and the types of ``defaults``
+(``tol`` a number, ``max_iterations`` an integer; a JSON boolean is never a
+number), and names the offending record in error messages.
+``serialize(parse(text))`` is a normal form: parsing it again yields an
+identical structure.
 """
 
 from __future__ import annotations
@@ -63,6 +65,15 @@ def _require(cond: bool, message: str):
         raise StructuralError(message)
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_problem(text: str) -> ProblemFile:
     try:
         raw = json.loads(text)
@@ -87,7 +98,7 @@ def parse_problem(text: str) -> ProblemFile:
     for p in points:
         v = mu_raw.get(p, 1.0)
         _require(
-            isinstance(v, (int, float)) and v > 0,
+            _is_number(v) and v > 0,
             f"space.mu[{p!r}]: measure weight must be > 0",
         )
         mu[p] = float(v)
@@ -103,11 +114,11 @@ def parse_problem(text: str) -> ProblemFile:
         _require(e["u"] != e["v"], f"edge {i}: self-loops are not allowed")
         w = e.get("weight", 1.0)
         _require(
-            isinstance(w, (int, float)) and w > 0, f"edge {i}: weight must be > 0"
+            _is_number(w) and w > 0, f"edge {i}: weight must be > 0"
         )
         p = e.get("exponent", 2.0)
         _require(
-            isinstance(p, (int, float)) and p > 1,
+            _is_number(p) and p > 1,
             f"edge {i}: exponent must exceed 1",
         )
         edges.append(
@@ -120,12 +131,12 @@ def parse_problem(text: str) -> ProblemFile:
         _require("point" in k and k["point"] in mu, f"kill {i}: unknown point")
         kappa = k.get("kappa", 0.0)
         _require(
-            isinstance(kappa, (int, float)) and kappa >= 0,
+            _is_number(kappa) and kappa >= 0,
             f"kill {i}: kappa must be >= 0",
         )
         q = k.get("exponent", 2.0)
         _require(
-            isinstance(q, (int, float)) and q > 1,
+            _is_number(q) and q > 1,
             f"kill {i}: exponent must exceed 1",
         )
         kill.append(
@@ -139,6 +150,8 @@ def parse_problem(text: str) -> ProblemFile:
 
     defaults = raw.get("defaults", {})
     _require(isinstance(defaults, dict), "defaults must be an object")
+    _require(_is_number(defaults.get("tol", 0)), "defaults.tol must be a number")
+    _require(_is_int(defaults.get("max_iterations", 0)), "defaults.max_iterations must be an integer")
 
     problem = ProblemFile(
         version=version,

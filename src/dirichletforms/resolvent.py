@@ -33,7 +33,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .energy import EnergySpec, energy, energy_gradient, perturb
+from .energy import EnergySpec, _gradient, _term_sum, perturb
 from .errors import (
     InconclusiveError,
     InfeasibleError,
@@ -171,7 +171,8 @@ def _solve_shifted(
     Newton direction or else along -r; if none accepts a step the loop
     stops.  The report's ``converged`` compares the mu-norm of r with the
     tolerance; at alpha = 0 the loop also goes on until its last step is
-    below the tolerance.
+    below the tolerance.  ``f`` and ``x0`` are checked fields: the core
+    validates nothing.
     """
     n = spec.space.n
     mu = spec.space.mu
@@ -182,6 +183,8 @@ def _solve_shifted(
     if np.any(lo > hi):
         raise InfeasibleError("constraint box is empty on the boundary")
     lo_in, hi_in = lo + _BOUND_TOL, hi - _BOUND_TOL
+    eu, ev, _, _ = spec._edge_arrays
+    ki = spec._kill_arrays[0]
     # with no bound off the boundary, projection and clipping change nothing
     free_mask = spec.free_mask
     boxed = bool(np.isfinite(lo[free_mask]).any() or np.isfinite(hi[free_mask]).any())
@@ -192,14 +195,15 @@ def _solve_shifted(
     def projected(g):
         # mu-representation of the objective gradient, zero on the boundary
         # and where a bound holds the coordinate
-        r = energy_gradient(spec, g) + alpha * g - f
+        r = _gradient(spec, g) + alpha * g - f
         r[spec.boundary_mask] = 0.0
         if boxed:
             r[((g <= lo_in) & (r > 0)) | ((g >= hi_in) & (r < 0))] = 0.0
         return r, math.sqrt(float(np.sum(mu * r * r)))
 
     def objective(g):
-        return energy(spec, g) + float(np.sum(mu * g * (0.5 * alpha * g - f)))
+        shift_terms = float(np.sum(mu * g * (0.5 * alpha * g - f)))
+        return _term_sum(spec, g[eu] - g[ev], g[ki]) + shift_terms
 
     def descend(g, r, delta):
         # Armijo on the objective along delta, whose slope is <mu r, step>;
@@ -217,7 +221,7 @@ def _solve_shifted(
                 return g_new
             t *= _SHRINK
 
-    g = np.clip(np.zeros(n) if x0 is None else spec.space.check_field(x0), lo, hi)
+    g = np.clip(np.zeros(n) if x0 is None else x0, lo, hi)
     r, rnorm = projected(g)
     it, step, last = 0, math.inf, None
     # for alpha > 0 the residual bounds the error by rnorm / alpha; at alpha
@@ -228,7 +232,8 @@ def _solve_shifted(
         if boxed:
             free = free & ((r != 0) | ((g > lo_in) & (g < hi_in)))
         delta = _newton_direction(spec, g, shift, free, -(mu * r))
-        if delta is None:  # singular block: the shift's own Newton step
+        if delta is None or not np.isfinite(delta).all():
+            # a singular or overflowed block: the shift's own Newton step
             delta = np.where(free, -r / (alpha or 1.0), 0.0)
         t = 1.0
         while True:
@@ -284,6 +289,7 @@ def prox(
     if not alpha > 0:
         raise ParameterError("alpha must be > 0")
     f = spec.space.check_field(f)
+    x0 = None if x0 is None else spec.space.check_field(x0)
     g, report = _solve_shifted(spec, alpha, f, None, None, x0, cfg)
     _require_converged("prox", g, report, cfg)
     return g, report

@@ -7,7 +7,8 @@ assigned by listing order, so all iteration is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,12 +64,18 @@ class MeasureSpace:
         return f
 
     def field(self, values=0.0) -> np.ndarray:
-        """Build a field from a scalar or a point -> value mapping."""
+        """Build a field from a number or a point -> number mapping; anything
+        else is a StructuralError."""
         if np.isscalar(values):
-            return np.full(self.n, float(values))
+            return np.full(self.n, _number(values))
+        if not isinstance(values, Mapping):
+            raise StructuralError(
+                "a field is a number or a point -> number mapping, "
+                f"not a {type(values).__name__}"
+            )
         out = np.zeros(self.n)
         for point, value in values.items():
-            out[self.index(point)] = float(value)
+            out[self.index(point)] = _number(value)
         return out
 
     def as_dict(self, f) -> dict[str, float]:
@@ -83,13 +90,24 @@ class MeasureSpace:
         return float(np.sum(self.mu * f * g))
 
     def norm(self, f) -> float:
-        return float(np.sqrt(self.inner(f, f)))
+        f = self.check_field(f)
+        return float(np.sqrt(np.sum(self.mu * f * f)))
 
     def l1_norm(self, f) -> float:
         return float(np.sum(self.mu * np.abs(self.check_field(f))))
 
     def total_mass(self) -> float:
         return float(np.sum(self.mu))
+
+
+def _number(value) -> float:
+    """A field value as a float; a boolean is not a number."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise StructuralError(f"field value {value!r} is not a number")
 
 
 def lattice_ops(f, g) -> tuple[np.ndarray, np.ndarray]:

@@ -234,3 +234,17 @@ def central_difference_gradient(fn, f, h: float = 1e-6) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """Record every ``MeasureSpace.check_field`` call: one entry per call."""
+    calls = []
+    check = MeasureSpace.check_field
+
+    def counting(self, f):
+        calls.append(f)
+        return check(self, f)
+
+    monkeypatch.setattr(MeasureSpace, "check_field", counting)
+    return calls

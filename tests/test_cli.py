@@ -59,6 +59,24 @@ def test_roundtrip_is_normal_form(problem_path):
          "kill 1: kappa must be >= 0"),
         (lambda d: d["space"]["mu"].update(a=0.0), "space.mu['a']"),
         (lambda d: d["boundary"].append("nope"), "boundary names unknown point"),
+        # a JSON boolean is not a number; the ids keep the rows above unique
+        pytest.param(lambda d: d["space"]["mu"].update(a=True), "space.mu['a']", id="mu-true"),
+        pytest.param(lambda d: d["edges"].append({"u": "a", "v": "b", "weight": True}),
+                     "edge 2: weight must be > 0", id="weight-true"),
+        pytest.param(lambda d: d["edges"].append({"u": "a", "v": "b", "exponent": True}),
+                     "edge 2: exponent must exceed 1", id="edge-exponent-true"),
+        pytest.param(lambda d: d["kill"].append({"point": "a", "kappa": True}),
+                     "kill 1: kappa must be >= 0", id="kappa-true"),
+        pytest.param(lambda d: d["kill"].append({"point": "a", "exponent": True}),
+                     "kill 1: exponent must exceed 1", id="kill-exponent-true"),
+        pytest.param(lambda d: d["defaults"].update(tol="abc"),
+                     "defaults.tol must be a number", id="tol-string"),
+        pytest.param(lambda d: d["defaults"].update(tol=False),
+                     "defaults.tol must be a number", id="tol-false"),
+        pytest.param(lambda d: d["defaults"].update(max_iterations=2.7),
+                     "defaults.max_iterations must be an integer", id="max-iterations-float"),
+        pytest.param(lambda d: d["defaults"].update(max_iterations=True),
+                     "defaults.max_iterations must be an integer", id="max-iterations-true"),
     ],
 )
 def test_parse_errors_name_the_record(mutate, fragment):
@@ -192,6 +210,24 @@ def test_exit_usage_on_bad_file(tmp_path, capsys):
     assert main(["classify", str(bad)]) == 2
     assert main(["classify", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["resolvent", "--field", "abc"], "--field"),
+        (["resolvent", "--field", "[1,2,3]"], "--field"),
+        (["resolvent", "--field", "true"], "--field"),
+        (["luxemburg", "--field", '{"a": [1]}'], "--field"),
+        (["green", "--field", '{"z": 1}'], "--field"),
+        (["capacity", "--set", "a", "--h", "nope"], "--h"),
+        (["profile", "--r-grid", "a,b"], "--r-grid"),
+        (["profile", "--weight", "{"], "--weight"),
+    ],
+)
+def test_a_malformed_flag_value_is_a_usage_error(argv, flag, problem_path, capsys):
+    assert main([argv[0], problem_path, *argv[1:]]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
 
 
 def test_exit_infeasible(problem_path, capsys):

@@ -96,18 +96,26 @@ def test_perturb_additivity():
         perturb(spec, -w)
 
 
+@pytest.mark.parametrize("fn", [energy, energy_gradient])
+def test_energy_and_gradient_check_their_field_once(fn, check_calls):
+    spec = random_connected_spec(8, seed=2, n_kill=1, n_boundary=1)
+    f = spec.project_feasible(np.linspace(-1.0, 2.0, spec.space.n))
+    check_calls.clear()
+    fn(spec, f)
+    assert len(check_calls) == 1
+
+
 def test_kernel_basis_free_components():
-    # two components: one free, one killed
+    # two components: one free, one killed; the free one spans the kernel
     space = MeasureSpace(("a", "b", "c", "d"), np.ones(4))
     spec = EnergySpec(
         space,
         (Edge("a", "b", 1.0, 2.0), Edge("c", "d", 1.0, 2.0)),
         (KillTerm("c", 1.0, 2.0),),
     )
-    basis = spec.kernel_basis
-    assert len(basis) == 1
-    assert np.allclose(basis[0], [1.0, 1.0, 0.0, 0.0])
-    assert energy(spec, 7.0 * basis[0]) == 0.0
+    comps = spec.free_components
+    assert [c.tolist() for c in comps] == [[0, 1]]
+    assert energy(spec, 7.0 * space.indicator(("a", "b"))) == 0.0
 
 
 @pytest.mark.parametrize("seed", range(40))

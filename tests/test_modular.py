@@ -31,6 +31,14 @@ from conftest import (
 )
 
 
+def test_luxemburg_norm_checks_its_field_once(check_calls):
+    spec = random_connected_spec(8, seed=2, p_range=(1.5, 3.0), n_kill=1, n_boundary=1)
+    f = spec.project_feasible(np.linspace(-1.0, 2.0, spec.space.n))
+    check_calls.clear()
+    assert 0 < luxemburg_norm(spec, f, LuxemburgQuery(r=2.0)) < math.inf
+    assert len(check_calls) == 1
+
+
 def test_homogeneous_identity():
     # constant exponent p: ||f||_{L,1} = E(f)^{1/p}
     spec = two_vertex_spec(w=3.0, p=3.0)

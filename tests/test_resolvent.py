@@ -12,8 +12,12 @@ from dirichletforms import (
     NonConvergenceError,
     ParameterError,
     ProxConfig,
+    StructuralError,
+    convex_conjugate,
+    directional_derivative,
     green,
     green_on_nonneg,
+    luxemburg_norm,
     markov_property_checks,
     perturbed_prox,
     prox,
@@ -85,6 +89,66 @@ def test_prox_parameter_validation():
         ProxConfig(residual_tolerance=0.0)
     with pytest.raises(ParameterError):
         ProxConfig(max_iterations=-1)
+
+
+_BAD_FIELDS = [np.ones(3), np.array([1.0, np.nan]), np.array([np.inf, 0.0])]
+
+
+@pytest.mark.parametrize("bad", _BAD_FIELDS)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec, bad: prox(spec, 1.0, bad),
+        lambda spec, bad: prox(spec, 1.0, np.ones(2), x0=bad),
+        lambda spec, bad: convex_conjugate(spec, bad),
+        lambda spec, bad: convex_conjugate(spec, np.zeros(2), x0=bad),
+        lambda spec, bad: energy(spec, bad),
+        lambda spec, bad: energy_gradient(spec, bad),
+        lambda spec, bad: luxemburg_norm(spec, bad),
+        lambda spec, bad: directional_derivative(spec, np.zeros(2), bad),
+    ],
+)
+def test_public_entries_reject_malformed_fields(call, bad):
+    # the solver core does not check its input, so every entry must
+    with pytest.raises(StructuralError):
+        call(two_vertex_spec(), bad)
+
+
+def test_the_solver_core_checks_no_field(check_calls):
+    spec = path_spec(30, 3.0)
+    g, report = _solve_shifted(spec, 1e-2, np.ones(31), None, None, np.zeros(31), ProxConfig())
+    assert report.converged and report.iterations >= 30
+    assert check_calls == []
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_prox_checks_each_field_argument_once(warm, check_calls):
+    # 35 Newton iterations, each with residual and objective evaluations
+    spec = path_spec(30, 3.0)
+    x0 = np.zeros(31) if warm else None
+    _, report = prox(spec, 1e-2, np.ones(31), x0=x0)
+    assert report.iterations >= 30
+    assert len(check_calls) == 1 + warm
+
+
+def test_a_non_finite_newton_direction_takes_the_fallback_step(monkeypatch):
+    spec = random_connected_spec(12, seed=3, p_range=(1.5, 3.0), n_kill=2, n_boundary=1)
+    f = spec.project_feasible(np.random.default_rng(3).normal(size=spec.space.n))
+    want, _ = prox(spec, 0.5, f)
+    direction, poisoned = resolvent._newton_direction, []
+
+    def nan_once(*args):
+        delta = direction(*args)
+        if not poisoned:
+            poisoned.append(delta)
+            delta = np.full_like(delta, np.nan)
+        return delta
+
+    monkeypatch.setattr(resolvent, "_newton_direction", nan_once)
+    got, report = prox(spec, 0.5, f)
+    assert poisoned and report.converged
+    # each answer is within residual / alpha of the resolvent in the mu-norm
+    assert spec.space.norm(got - want) <= 2 * ProxConfig().residual_tolerance / 0.5
 
 
 @pytest.mark.parametrize("budget", [0, 1, 5])
