@@ -32,7 +32,6 @@ from .resolvent import (
     ProxConfig,
     SolveReport,
     green,
-    green_on_nonneg,
     markov_property_checks,
     perturbed_prox,
     prox,

@@ -130,10 +130,8 @@ def _resolvent(args, spec, cfg) -> dict:
 
 def _green(args, spec, cfg) -> dict:
     f = _field_from_arg(spec, args.field, "--field")
-    value = resolvent.green_on_nonneg(
-        spec, f, cfg, alpha0=args.alpha0, depth=args.schedule_depth
-    )
-    return {"finite": bool(np.all(np.isfinite(value))), "green": spec.space.as_dict(value)}
+    res = resolvent.green(spec, f, cfg, alpha0=args.alpha0, depth=args.schedule_depth)
+    return {"finite": res.finite, "green": spec.space.as_dict(res.value)}
 
 
 def _luxemburg(args, spec, cfg) -> dict:

@@ -18,7 +18,7 @@ from .energy import EnergySpec, connected_components, energy
 from .errors import InconclusiveError, InternalCheckError, NonConvergenceError, ParameterError
 from .modular import _luxemburg, _scale_root
 from .potential import equilibrium_potential
-from .resolvent import ProxConfig, green, green_on_nonneg, perturb, prox
+from .resolvent import ProxConfig, green, perturb, prox
 from .space import weighted_lp_norm
 
 # a field whose Luxemburg norm is at most this counts as in the kernel
@@ -43,7 +43,7 @@ def K_of(spec: EnergySpec, w, cfg: ProxConfig = ProxConfig()) -> float:
     w = spec.space.check_field(w)
     if np.any(w < 0):
         raise ParameterError("K_of requires w >= 0")
-    return _pairing(spec, w, green_on_nonneg(spec, w, cfg))
+    return _pairing(spec, w, green(spec, w, cfg).value)
 
 
 def hardy_upper_check(spec: EnergySpec, w, battery, cfg: ProxConfig = ProxConfig()):
@@ -116,7 +116,7 @@ def hardy_optimal_constant(
         raise ParameterError("hardy_optimal_constant requires w >= 0")
     if not np.any(w > 0):
         return {"mu_hat": 0.0, "K_tilde": 0.0, "pass": True, "witness": None}
-    gw = green_on_nonneg(spec, w, cfg)
+    gw = green(spec, w, cfg).value
     K = _pairing(spec, w, gw)
     if math.isinf(K):
         raise ParameterError("hardy_optimal_constant requires K(w) < inf")
@@ -157,7 +157,7 @@ def hardy_from_green(spec: EnergySpec, g, cfg: ProxConfig = ProxConfig()) -> np.
     g = spec.space.check_field(g)
     if np.any(g < 0):
         raise ParameterError("hardy_from_green requires g >= 0")
-    gg = green_on_nonneg(spec, g, cfg)
+    gg = green(spec, g, cfg).value
     if np.any(np.isinf(gg[g > 0])):
         raise ParameterError("hardy_from_green requires a finite Green value on {g > 0}")
     gg = np.where(np.isinf(gg), 0.0, gg)  # irrelevant where g = 0
@@ -296,8 +296,9 @@ def classify(
     """Critical / Subcritical / Reducible with a matching witness.
 
     Reducible: a nontrivial invariant set among the non-boundary points.
-    Critical: E(lambda * 1) = 0 for lambda = 1, 2, 4, ..., 2^16 (exact for
-    the graph family: connected, no kill, no boundary).  Otherwise
+    Critical: those points form a free component (no kill, no boundary),
+    whose indicator spans the kernel of E; the diagnostics keep
+    E(lambda * 1_kernel) for lambda = 1, 2, 4, ..., 2^16.  Otherwise
     subcritical, witnessed by a strictly positive Hardy weight W with
     K(W) <= 1.
     """
@@ -310,17 +311,17 @@ def classify(
             Verdict.REDUCIBLE, invariant_set=A, diagnostics=diagnostics
         )
 
-    ones = np.ones(spec.space.n)
-    scales = [2.0**k for k in range(17)]
-    energies = [energy(spec, lam * ones) for lam in scales]
-    diagnostics["kernel_energies"] = energies
-    if all(e == 0.0 for e in energies):
+    # the non-boundary points are connected here, so a free component, if
+    # there is one, is all of them: the kernel is spanned by the free mask
+    if spec.free_components:
+        scales = [2.0**k for k in range(17)]
+        diagnostics["kernel_energies"] = [energy(spec, lam * spec.free_mask) for lam in scales]
         return CriticalityReport(
             Verdict.CRITICAL, kernel_scales=scales, diagnostics=diagnostics
         )
 
     # subcritical: build the series witness, rescale to K(W) <= 1
-    seed_w = ones / spec.space.total_mass()
+    seed_w = np.ones(spec.space.n) / spec.space.total_mass()
     try:
         W = synthesize_hardy_weight(spec, seed_w, n_terms=n_terms, cfg=cfg)
         if not np.all(W > 0):
@@ -330,7 +331,8 @@ def classify(
         if K > 1.0:
             diagnostics["rescale"] = _unit_K_scale(spec, W, K, cfg)
             W = W / diagnostics["rescale"]
-        diagnostics["K_witness"] = K_of(spec, W, cfg)
+            K = K_of(spec, W, cfg)
+        diagnostics["K_witness"] = K
         return CriticalityReport(
             Verdict.SUBCRITICAL, hardy_weight=W, diagnostics=diagnostics
         )

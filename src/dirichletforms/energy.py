@@ -105,16 +105,16 @@ class EnergySpec:
                 raise StructuralError(f"self-loop edge at {e.u!r}")
             self.space.index(e.u)
             self.space.index(e.v)
-            if not e.weight > 0:
-                raise ParameterError(f"edge ({e.u},{e.v}): weight must be > 0")
+            if not 0 < e.weight < math.inf:
+                raise ParameterError(f"edge ({e.u},{e.v}): weight must be > 0 and finite")
             if not 1 < e.exponent < math.inf:
                 raise ParameterError(
                     f"edge ({e.u},{e.v}): exponent must exceed 1 and be finite"
                 )
         for k in self.kill:
             self.space.index(k.point)
-            if k.kappa < 0:
-                raise ParameterError(f"kill at {k.point!r}: kappa must be >= 0")
+            if not 0 <= k.kappa < math.inf:
+                raise ParameterError(f"kill at {k.point!r}: kappa must be >= 0 and finite")
             if not 1 < k.exponent < math.inf:
                 raise ParameterError(
                     f"kill at {k.point!r}: exponent must exceed 1 and be finite"

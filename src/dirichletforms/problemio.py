@@ -13,7 +13,9 @@ A problem file looks like::
 
 Parsing validates every EnergySpec invariant and the types of ``defaults``
 (``tol`` a number, ``max_iterations`` an integer; a JSON boolean is never a
-number), and names the offending record in error messages.
+number, and neither is the ``Infinity`` or ``NaN`` that Python's parser
+accepts), rejects every key it does not read, and names the offending
+record in error messages.
 ``serialize(parse(text))`` is a normal form: parsing it again yields an
 identical structure.
 """
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,12 +69,21 @@ def _require(cond: bool, message: str):
 
 
 def _is_number(value) -> bool:
-    """A JSON number: an int or a float, not a boolean."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number: an int or a float (not a boolean), finite as a float."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_keys(record: dict, keys: tuple[str, ...], where: str):
+    for key in record:
+        if key not in keys:
+            raise StructuralError(f"{where}: unknown key {key!r}")
 
 
 def parse_problem(text: str) -> ProblemFile:
@@ -82,10 +94,12 @@ def parse_problem(text: str) -> ProblemFile:
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     _require(isinstance(raw, dict), "problem file must be a JSON object")
+    _require_keys(raw, ("version", "space", "edges", "kill", "boundary", "defaults"), "problem file")
     version = str(raw.get("version", FORMAT_VERSION))
 
     space = raw.get("space")
     _require(isinstance(space, dict), "missing 'space' object")
+    _require_keys(space, ("points", "mu"), "space")
     points = space.get("points")
     _require(
         isinstance(points, list) and all(isinstance(p, str) for p in points),
@@ -99,7 +113,7 @@ def parse_problem(text: str) -> ProblemFile:
         v = mu_raw.get(p, 1.0)
         _require(
             _is_number(v) and v > 0,
-            f"space.mu[{p!r}]: measure weight must be > 0",
+            f"space.mu[{p!r}]: measure weight must be > 0 and finite",
         )
         mu[p] = float(v)
     for p in mu_raw:
@@ -108,18 +122,19 @@ def parse_problem(text: str) -> ProblemFile:
     edges = []
     for i, e in enumerate(raw.get("edges", [])):
         _require(isinstance(e, dict), f"edge {i}: must be an object")
+        _require_keys(e, ("u", "v", "weight", "exponent"), f"edge {i}")
         for key in ("u", "v"):
             _require(key in e, f"edge {i}: missing endpoint {key!r}")
             _require(e[key] in mu, f"edge {i}: unknown point {e[key]!r}")
         _require(e["u"] != e["v"], f"edge {i}: self-loops are not allowed")
         w = e.get("weight", 1.0)
         _require(
-            _is_number(w) and w > 0, f"edge {i}: weight must be > 0"
+            _is_number(w) and w > 0, f"edge {i}: weight must be > 0 and finite"
         )
         p = e.get("exponent", 2.0)
         _require(
             _is_number(p) and p > 1,
-            f"edge {i}: exponent must exceed 1",
+            f"edge {i}: exponent must exceed 1 and be finite",
         )
         edges.append(
             {"u": e["u"], "v": e["v"], "weight": float(w), "exponent": float(p)}
@@ -128,16 +143,17 @@ def parse_problem(text: str) -> ProblemFile:
     kill = []
     for i, k in enumerate(raw.get("kill", [])):
         _require(isinstance(k, dict), f"kill {i}: must be an object")
+        _require_keys(k, ("point", "kappa", "exponent"), f"kill {i}")
         _require("point" in k and k["point"] in mu, f"kill {i}: unknown point")
         kappa = k.get("kappa", 0.0)
         _require(
             _is_number(kappa) and kappa >= 0,
-            f"kill {i}: kappa must be >= 0",
+            f"kill {i}: kappa must be >= 0 and finite",
         )
         q = k.get("exponent", 2.0)
         _require(
             _is_number(q) and q > 1,
-            f"kill {i}: exponent must exceed 1",
+            f"kill {i}: exponent must exceed 1 and be finite",
         )
         kill.append(
             {"point": k["point"], "kappa": float(kappa), "exponent": float(q)}
@@ -150,6 +166,7 @@ def parse_problem(text: str) -> ProblemFile:
 
     defaults = raw.get("defaults", {})
     _require(isinstance(defaults, dict), "defaults must be an object")
+    _require_keys(defaults, ("tol", "max_iterations"), "defaults")
     _require(_is_number(defaults.get("tol", 0)), "defaults.tol must be a number")
     _require(_is_int(defaults.get("max_iterations", 0)), "defaults.max_iterations must be an integer")
 

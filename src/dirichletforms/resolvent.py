@@ -21,7 +21,8 @@ tolerance too.
 
 The Green operator G f = lim_{alpha -> 0+} G_alpha f is +inf exactly where
 f charges a component with no kill and no boundary; ``green`` decides that
-from the spec and walks one alpha -> 0 schedule for the rest.
+from the spec, walks one alpha -> 0 schedule of core solves for the rest,
+and returns the extended array.
 """
 
 from __future__ import annotations
@@ -376,7 +377,7 @@ def perturbed_prox(
 @dataclass
 class GreenResult:
     finite: bool
-    value: np.ndarray | None
+    value: np.ndarray
     alpha_trace: list[tuple[float, float]]
 
 
@@ -387,25 +388,31 @@ def green(
     alpha0: float = 1.0,
     depth: int = 40,
 ) -> GreenResult:
-    """Green operator G f = lim_{alpha -> 0+} G_alpha f on nonnegative f.
+    """Extended Green value G f = lim_{alpha -> 0+} G_alpha f of f >= 0.
 
-    G f is +inf on a free component (no kill, no boundary) where f is
-    positive somewhere, since the constants there lie in the kernel of E;
-    the result is then not finite, decided from the spec before any
-    solve.  Otherwise E is coercive wherever f charges it, and the schedule
-    alpha0 * 2^-k is walked with warm starts until two consecutive iterates
-    agree in sup-norm; InconclusiveError if it runs out first.
+    On a free component (no kill, no boundary) the constants lie in the
+    kernel of E, so G f is +inf there if f charges it and 0 if not,
+    decided from the spec.  Elsewhere E is coercive: with f set to 0 on the
+    free components, the schedule alpha0 * 2^-k is walked with warm starts
+    until two consecutive iterates agree in sup-norm; InconclusiveError if
+    it runs out first.  ``finite``: no entry of ``value`` is +inf.
     """
+    if not alpha0 > 0:
+        raise ParameterError("alpha0 must be > 0")
     f = spec.space.check_field(f)
     if np.any(f < 0):
         raise ParameterError("green requires f >= 0")
-    if any(np.any(f[comp] > 0) for comp in spec.free_components):
-        return GreenResult(False, None, [])
+    f = f.copy()
+    divergent = np.zeros(spec.space.n, dtype=bool)
+    for comp in spec.free_components:
+        divergent[comp] = np.any(f[comp] > 0)
+        f[comp] = 0.0
     trace: list[tuple[float, float]] = []
     prev = None
     for k in range(depth + 1):
         alpha = alpha0 * 2.0**-k
-        g, _ = prox(spec, alpha, f, cfg, x0=prev)
+        g, report = _solve_shifted(spec, alpha, f, None, None, prev, cfg)
+        _require_converged("green", g, report, cfg)
         sup = float(np.max(np.abs(g), initial=0.0))
         trace.append((alpha, sup))
         if prev is not None:
@@ -416,36 +423,9 @@ def green(
                     f"green trace decreased along the schedule (alpha={alpha:g})"
                 )
             if float(np.max(np.abs(g - prev))) < cfg.residual_tolerance:
-                return GreenResult(True, g, trace)
+                g[divergent] = math.inf
+                return GreenResult(not divergent.any(), g, trace)
         prev = g
     raise InconclusiveError(
         "green schedule exhausted without a verdict", trace=trace
     )
-
-
-def green_on_nonneg(
-    spec: EnergySpec,
-    f,
-    cfg: ProxConfig = ProxConfig(),
-    alpha0: float = 1.0,
-    depth: int = 40,
-) -> np.ndarray:
-    """Coordinatewise extended Green value of f >= 0 (entries may be +inf).
-
-    The energy decouples over connected components.  A free component (no
-    kill, no boundary) carries the constants in its kernel: there G f is
-    identically +inf unless f vanishes on the component, and 0 if it does.
-    Everywhere else one ``green`` schedule on the whole spec, with f set to
-    0 on the free components, gives the value.
-    """
-    f = spec.space.check_field(f)
-    if np.any(f < 0):
-        raise ParameterError("green_on_nonneg requires f >= 0")
-    f = f.copy()
-    divergent = np.zeros(spec.space.n, dtype=bool)
-    for comp in spec.free_components:
-        divergent[comp] = np.any(f[comp] > 0)
-        f[comp] = 0.0
-    out = green(spec, f, cfg, alpha0=alpha0, depth=depth).value
-    out[divergent] = math.inf
-    return out

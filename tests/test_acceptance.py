@@ -62,7 +62,7 @@ def test_criterion_1_bilinear_oracle_equivalence():
         g, _ = df.prox(spec, alpha, f)
         worst_prox = max(worst_prox, float(np.max(np.abs(g - prox_oracle(spec, alpha, f)))))
         w = np.abs(f)
-        gw = df.green_on_nonneg(spec, w)
+        gw = df.green(spec, w).value
         worst_green = max(worst_green, float(np.max(np.abs(gw - green_oracle(spec, w)))))
     elapsed = time.monotonic() - start
     ok = worst_prox < 1e-8 and worst_green < 1e-6 and elapsed < 30.0

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 from pathlib import Path
 
@@ -77,6 +78,30 @@ def test_roundtrip_is_normal_form(problem_path):
                      "defaults.max_iterations must be an integer", id="max-iterations-float"),
         pytest.param(lambda d: d["defaults"].update(max_iterations=True),
                      "defaults.max_iterations must be an integer", id="max-iterations-true"),
+        # a key the parser does not read is an error, not silently ignored
+        pytest.param(lambda d: d.update(edge=d.pop("edges")),
+                     "problem file: unknown key 'edge'", id="key-edge"),
+        pytest.param(lambda d: d.update(boundry=d.pop("boundary")),
+                     "problem file: unknown key 'boundry'", id="key-boundry"),
+        pytest.param(lambda d: d["space"].update(measure=d["space"].pop("mu")),
+                     "space: unknown key 'measure'", id="key-measure"),
+        pytest.param(lambda d: d["edges"][0].update(wieght=5),
+                     "edge 0: unknown key 'wieght'", id="key-wieght"),
+        pytest.param(lambda d: d["edges"][1].update(exponant=3),
+                     "edge 1: unknown key 'exponant'", id="key-exponant"),
+        pytest.param(lambda d: d["kill"][0].update(kapa=1.0),
+                     "kill 0: unknown key 'kapa'", id="key-kapa"),
+        pytest.param(lambda d: d["defaults"].update(max_iter=0),
+                     "defaults: unknown key 'max_iter'", id="key-max-iter"),
+        # Python's parser reads Infinity and NaN, which are not JSON numbers
+        pytest.param(lambda d: d["edges"].append({"u": "a", "v": "b", "weight": math.inf}),
+                     "edge 2: weight must be > 0", id="weight-inf"),
+        pytest.param(lambda d: d["kill"].append({"point": "a", "kappa": math.inf}),
+                     "kill 1: kappa must be >= 0", id="kappa-inf"),
+        pytest.param(lambda d: d["kill"].append({"point": "a", "kappa": math.nan}),
+                     "kill 1: kappa must be >= 0", id="kappa-nan"),
+        pytest.param(lambda d: d["edges"].append({"u": "a", "v": "b", "weight": 10**400}),
+                     "edge 2: weight must be > 0", id="weight-past-float-range"),
     ],
 )
 def test_parse_errors_name_the_record(mutate, fragment):
@@ -228,6 +253,19 @@ def test_exit_usage_on_bad_file(tmp_path, capsys):
 def test_a_malformed_flag_value_is_a_usage_error(argv, flag, problem_path, capsys):
     assert main([argv[0], problem_path, *argv[1:]]) == 2
     assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+
+
+@pytest.mark.parametrize("record", ["edges", "kill"])
+@pytest.mark.parametrize(
+    "argv", [["resolvent", "--field", "1"], ["luxemburg", "--field", "1"]], ids=["resolvent", "luxemburg"]
+)
+def test_a_non_finite_weight_or_kappa_is_a_usage_error(record, argv, tmp_path, capsys):
+    doc = json.loads(json.dumps(PROBLEM))
+    doc[record][0]["weight" if record == "edges" else "kappa"] = math.inf
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))  # written as Infinity
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_exit_infeasible(problem_path, capsys):

@@ -231,6 +231,38 @@ def test_classify_subcritical_with_sound_witness():
     assert K_of(spec, W) <= 1.0 + 1e-6
 
 
+def test_classify_reuses_K_raw_without_a_rescale(monkeypatch):
+    # K(W) <= 1 needs no rescale, so the witness's K is K_raw, not a second
+    # Green value; and a subcritical spec evaluates no kernel energies
+    spec = random_connected_spec(6, seed=4, n_kill=2)
+    real, on_spec = criticality.green, []
+
+    def counting(s, *args, **kwargs):
+        on_spec.append(s is spec)
+        return real(s, *args, **kwargs)
+
+    monkeypatch.setattr(criticality, "green", counting)
+    report = classify(spec)
+    assert report.verdict is Verdict.SUBCRITICAL
+    assert report.diagnostics["K_raw"] <= 1.0 and "rescale" not in report.diagnostics
+    assert report.diagnostics["K_witness"] == report.diagnostics["K_raw"]
+    assert "kernel_energies" not in report.diagnostics
+    # the series terms solve on perturbed specs; K(W) is the one Green value on spec
+    assert sum(on_spec) == 1
+
+
+def test_classify_free_component_beside_an_isolated_boundary_point():
+    # a-b is a free component and c a boundary point with no edge: E vanishes
+    # on 1_{a,b}, so the spec is critical (not subcritical with W = 0)
+    space = MeasureSpace(("a", "b", "c"), np.ones(3))
+    spec = EnergySpec(space, (Edge("a", "b", 1.0, 2.0),), boundary=frozenset({"c"}))
+    report = classify(spec)
+    assert report.verdict is Verdict.CRITICAL
+    assert report.hardy_weight is None
+    assert report.kernel_scales == [2.0**k for k in range(17)]
+    assert all(e == 0.0 for e in report.diagnostics["kernel_energies"])
+
+
 def test_classify_reducible():
     space = MeasureSpace(("a", "b", "c", "d"), np.ones(4))
     spec = EnergySpec(space, (Edge("a", "b", 1.0, 2.0), Edge("c", "d", 1.0, 2.0)))

@@ -63,6 +63,11 @@ def test_invalid_parameters_rejected():
         EnergySpec(space, (), (KillTerm("a", -1.0, 2.0),))
     with pytest.raises(ParameterError):
         EnergySpec(space, (), (KillTerm("a", 1.0, math.inf),))
+    for value in (math.inf, math.nan):
+        with pytest.raises(ParameterError, match="weight must be > 0 and finite"):
+            EnergySpec(space, (Edge("a", "b", value, 2.0),))
+        with pytest.raises(ParameterError, match="kappa must be >= 0 and finite"):
+            EnergySpec(space, (), (KillTerm("a", value, 2.0),))
 
 
 @pytest.mark.parametrize("seed", range(5))

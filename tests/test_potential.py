@@ -21,7 +21,7 @@ from dirichletforms import (
     equilibrium_potential,
     excessive_envelope,
     exhaustion_capacity_profile,
-    green_on_nonneg,
+    green,
     is_excessive,
 )
 from dirichletforms import resolvent
@@ -46,7 +46,7 @@ def test_green_potential_is_excessive():
     spec = random_connected_spec(5, seed=1, n_kill=2)
     rng = np.random.default_rng(1)
     psi = rng.uniform(0.1, 1.0, size=spec.space.n)
-    h = green_on_nonneg(spec, psi)
+    h = green(spec, psi).value
     assert np.all(np.isfinite(h))
     ok, margins = is_excessive(spec, h)
     assert ok, margins

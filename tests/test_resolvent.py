@@ -16,7 +16,6 @@ from dirichletforms import (
     convex_conjugate,
     directional_derivative,
     green,
-    green_on_nonneg,
     luxemburg_norm,
     markov_property_checks,
     perturbed_prox,
@@ -356,31 +355,18 @@ def test_green_matches_linear_oracle():
     spec = random_connected_spec(6, seed=11, n_kill=2)
     rng = np.random.default_rng(11)
     f = rng.uniform(0.0, 1.0, size=spec.space.n)
-    out = green_on_nonneg(spec, f)
+    out = green(spec, f).value
     assert np.max(np.abs(out - green_oracle(spec, f))) < 1e-6
 
 
-def _count_green(monkeypatch) -> list:
-    calls = []
-    real = resolvent.green
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(resolvent, "green", counting)
-    return calls
-
-
-def test_green_on_whole_graph_component_builds_no_sub_spec(monkeypatch):
+def test_green_checks_its_field_once(check_calls):
+    # every step of the schedule is a core solve: f is checked at entry only
     spec = random_connected_spec(12, seed=13, n_kill=2, n_boundary=1)
-    assert len(spec.components) == 1
     f = np.random.default_rng(13).uniform(0.0, 1.0, size=spec.space.n)
-    expected = green(spec, f).value
-    calls = _count_green(monkeypatch)
-    out = green_on_nonneg(spec, f)
-    assert np.array_equal(out, expected)
-    assert len(calls) == 1 and calls[0][0] is spec
+    check_calls.clear()
+    result = green(spec, f)
+    assert len(result.alpha_trace) > 2
+    assert len(check_calls) == 1
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
@@ -435,13 +421,14 @@ def test_green_divergence_on_critical():
     spec = two_vertex_spec()
     result = green(spec, np.array([1.0, 1.0]))
     assert not result.finite
+    assert np.all(np.isinf(result.value))
 
 
 def test_green_on_nonneg_is_finite_past_any_magnitude():
     # G 1_a = (1e9, 0): a large finite value, never +inf, and 0 on the boundary
     spec = weak_edge_spec(1e-9)
     try:
-        out = green_on_nonneg(spec, np.array([1.0, 0.0]))
+        out = green(spec, np.array([1.0, 0.0])).value
     except InconclusiveError:
         return  # the alpha -> 0 schedule may not settle on values this large
     assert out[1] == 0.0
@@ -449,7 +436,7 @@ def test_green_on_nonneg_is_finite_past_any_magnitude():
 
 
 @pytest.mark.parametrize("charge", [0.0, 1.0])
-def test_green_on_nonneg_decides_free_components_and_solves_the_rest(charge, monkeypatch):
+def test_green_on_nonneg_decides_free_components_and_solves_the_rest(charge):
     # one free component (no kill, no boundary) and two coercive ones, at p = 2
     parts = {
         "A": random_connected_spec(6, seed=31, n_kill=2),
@@ -463,24 +450,18 @@ def test_green_on_nonneg_decides_free_components_and_solves_the_rest(charge, mon
     f = np.random.default_rng(33).uniform(0.1, 1.0, size=spec.space.n)
     f[free] *= charge
 
-    calls = _count_green(monkeypatch)
-    out = green_on_nonneg(spec, f)
-    assert len(calls) == 1  # one schedule for both coercive components
-    assert np.max(np.abs(out[rest] - green_oracle(coercive, f[rest]))) < 1e-6
-    assert np.all(out[free] == (math.inf if charge else 0.0))
-
-    # green itself decides a charged free component before any solve
     result = green(spec, f)
+    # one schedule solves both coercive components
+    assert np.max(np.abs(result.value[rest] - green_oracle(coercive, f[rest]))) < 1e-6
+    assert np.all(result.value[free] == (math.inf if charge else 0.0))
     assert result.finite == (charge == 0.0)
-    if charge:
-        assert result.value is None and result.alpha_trace == []
 
 
 def test_green_kernel_component_is_infinite():
     spec = two_vertex_spec()
-    out = green_on_nonneg(spec, np.array([1.0, 0.0]))
+    out = green(spec, np.array([1.0, 0.0])).value
     assert np.all(np.isinf(out))
-    out0 = green_on_nonneg(spec, np.zeros(2))
+    out0 = green(spec, np.zeros(2)).value
     assert np.allclose(out0, 0.0)
 
 
@@ -494,3 +475,5 @@ def test_green_rejects_negative_data():
     spec = path_spec(2)
     with pytest.raises(ParameterError):
         green(spec, np.array([1.0, -1.0, 0.0]))
+    with pytest.raises(ParameterError):
+        green(spec, np.ones(3), alpha0=0.0)
