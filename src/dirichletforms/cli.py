@@ -8,7 +8,8 @@ handler reads.  Every subcommand takes ``--seed``, ``--tol`` and
 ``--max-iter``; ``--csv`` goes only to the subcommands with tables, and
 every other flag only to the subcommands that read it.  Results are
 emitted as a JSON envelope on stdout.  Exit codes: verification failed 1,
-usage 2 (also a malformed flag value), infeasible 3, non-convergence 4,
+usage 2 (also a malformed problem file, and a flag value that is malformed
+or out of its range), infeasible 3, non-convergence 4,
 inconclusive 5, internal check failed 6.
 """
 

@@ -182,6 +182,8 @@ def synthesize_hardy_weight(
     subcritical specs the partial sums are strictly positive pointwise once
     enough terms accumulate.
     """
+    if n_terms < 1:
+        raise ParameterError("n_terms must be >= 1")
     seed_w = spec.space.check_field(seed_w)
     if not np.all(seed_w > 0):
         raise ParameterError("seed weight must be > 0 pointwise")
@@ -381,8 +383,10 @@ def _battery_profile(spec: EnergySpec, r_grid, search_budget, seed, terms):
     The profile is made nonincreasing in r, and each value keeps the field
     that achieved it as its certificate.
     """
-    battery = _profile_battery(spec, np.random.default_rng(seed), search_budget)
     r_grid = [float(r) for r in r_grid]
+    if not all(math.isfinite(r) for r in r_grid):
+        raise ParameterError("every r of the grid must be finite")
+    battery = _profile_battery(spec, np.random.default_rng(seed), search_budget)
     alphas = [0.0] * len(r_grid)
     certs: list[np.ndarray | None] = [None] * len(r_grid)
     for f in battery:
@@ -417,8 +421,8 @@ def weak_hardy_profile(
     Requires a trivial seminorm kernel (subcritical, irreducible).  Each
     reported value is achieved by a stored certificate field.
     """
-    if p < 1:
-        raise ParameterError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ParameterError("p must be >= 1 and finite")
     w = spec.space.check_field(w)
     if not np.all(w > 0):
         raise ParameterError("weak_hardy_profile requires w > 0")
@@ -448,8 +452,8 @@ def weak_poincare_profile(
     with fbar the w-mean.  Requires the kernel to be exactly the constants
     (critical irreducible case).
     """
-    if p < 1:
-        raise ParameterError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ParameterError("p must be >= 1 and finite")
     w = spec.space.check_field(w)
     if not np.all(w > 0):
         raise ParameterError("weak_poincare_profile requires w > 0")

@@ -87,6 +87,16 @@ def connected_components(n: int, u: np.ndarray, v: np.ndarray) -> list[np.ndarra
     return comps
 
 
+def _lookup(index: dict, names: list, where) -> np.ndarray:
+    """The indices of ``names``; the first unknown name is a StructuralError
+    that ``where(position)`` places."""
+    idx = np.array([index.get(p, -1) for p in names], dtype=int)
+    bad = np.flatnonzero(idx < 0)
+    if len(bad):
+        raise StructuralError(f"{where(bad[0])} unknown point {names[bad[0]]!r}")
+    return idx
+
+
 @dataclass(frozen=True)
 class EnergySpec:
     """Immutable description of a graph energy functional."""
@@ -97,51 +107,38 @@ class EnergySpec:
     boundary: frozenset[str] = frozenset()
 
     def __post_init__(self):
+        """Check every value once, as array tests over the term arrays; the
+        first bad record is named by its index (``edge 2: ...``)."""
         object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(self, "kill", tuple(self.kill))
         object.__setattr__(self, "boundary", frozenset(self.boundary))
-        for e in self.edges:
-            if e.u == e.v:
-                raise StructuralError(f"self-loop edge at {e.u!r}")
-            self.space.index(e.u)
-            self.space.index(e.v)
-            if not 0 < e.weight < math.inf:
-                raise ParameterError(f"edge ({e.u},{e.v}): weight must be > 0 and finite")
-            if not 1 < e.exponent < math.inf:
-                raise ParameterError(
-                    f"edge ({e.u},{e.v}): exponent must exceed 1 and be finite"
-                )
-        for k in self.kill:
-            self.space.index(k.point)
-            if not 0 <= k.kappa < math.inf:
-                raise ParameterError(f"kill at {k.point!r}: kappa must be >= 0 and finite")
-            if not 1 < k.exponent < math.inf:
-                raise ParameterError(
-                    f"kill at {k.point!r}: exponent must exceed 1 and be finite"
-                )
-        for p in self.boundary:
-            self.space.index(p)
-
-    # -- cached index arrays -----------------------------------------------
-
-    @cached_property
-    def _edge_arrays(self):
-        eu = np.array([self.space.index(e.u) for e in self.edges], dtype=int)
-        ev = np.array([self.space.index(e.v) for e in self.edges], dtype=int)
+        index = self.space._index
+        # both endpoints in one pass, so that the first bad edge is named
+        ends = [p for e in self.edges for p in (e.u, e.v)]
+        eu, ev = _lookup(index, ends, lambda j: f"edge {j // 2}:").reshape(-1, 2).T.copy()
+        ki = _lookup(index, [k.point for k in self.kill], lambda i: f"kill {i}:")
+        bi = _lookup(index, sorted(self.boundary, key=repr), lambda _: "boundary names")
         ew = np.array([e.weight for e in self.edges], dtype=float)
         ep = np.array([e.exponent for e in self.edges], dtype=float)
-        return eu, ev, ew, ep
-
-    @cached_property
-    def _kill_arrays(self):
-        ki = np.array([self.space.index(k.point) for k in self.kill], dtype=int)
         kk = np.array([k.kappa for k in self.kill], dtype=float)
         kq = np.array([k.exponent for k in self.kill], dtype=float)
-        return ki, kk, kq
-
-    @cached_property
-    def boundary_mask(self) -> np.ndarray:
-        return self.space.indicator(self.boundary)
+        for error, where, ok, message in (
+            (StructuralError, "edge", eu != ev, "self-loops are not allowed"),
+            (ParameterError, "edge", (0 < ew) & (ew < np.inf), "weight must be > 0 and finite"),
+            (ParameterError, "edge", (1 < ep) & (ep < np.inf),
+             "exponent must exceed 1 and be finite"),
+            (ParameterError, "kill", (0 <= kk) & (kk < np.inf), "kappa must be >= 0 and finite"),
+            (ParameterError, "kill", (1 < kq) & (kq < np.inf),
+             "exponent must exceed 1 and be finite"),
+        ):
+            bad = np.flatnonzero(~ok)
+            if len(bad):
+                raise error(f"{where} {bad[0]}: {message}")
+        boundary_mask = np.zeros(self.space.n, dtype=bool)
+        boundary_mask[bi] = True
+        object.__setattr__(self, "_edge_arrays", (eu, ev, ew, ep))
+        object.__setattr__(self, "_kill_arrays", (ki, kk, kq))
+        object.__setattr__(self, "boundary_mask", boundary_mask)
 
     @cached_property
     def free_mask(self) -> np.ndarray:

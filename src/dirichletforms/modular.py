@@ -35,8 +35,8 @@ class LuxemburgQuery:
     r: float = 1.0
 
     def __post_init__(self):
-        if not self.r > 0:
-            raise ParameterError("r must be > 0")
+        if not 0 < self.r < math.inf:
+            raise ParameterError("r must be > 0 and finite")
 
 
 def in_kernel(spec: EnergySpec, f) -> bool:

@@ -11,11 +11,15 @@ A problem file looks like::
       "defaults": {"tol": 1e-9}
     }
 
-Parsing validates every EnergySpec invariant and the types of ``defaults``
-(``tol`` a number, ``max_iterations`` an integer; a JSON boolean is never a
-number, and neither is the ``Infinity`` or ``NaN`` that Python's parser
-accepts), rejects every key it does not read, and names the offending
-record in error messages.
+Each invariant is checked once, by its owner.  ``parse_problem`` checks the
+JSON shape: section types, record keys (a key it does not read is an error),
+point names that are strings, numbers that are JSON numbers (a boolean or an
+int past the float range is not) and the types of ``defaults``.
+``MeasureSpace`` checks mu; ``EnergySpec`` looks up every point and checks
+self-loops, weights, exponents and kappas (the ``Infinity`` and ``NaN`` that
+Python's parser accepts fail these ranges); ``ProxConfig`` checks the ranges
+of ``defaults``.  ``parse_problem`` raises only StructuralError, naming the
+offending record.
 ``serialize(parse(text))`` is a normal form: parsing it again yields an
 identical structure.
 """
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import Edge, EnergySpec, KillTerm
-from .errors import StructuralError
+from .errors import ParameterError, StructuralError
 from .space import MeasureSpace
 
 FORMAT_VERSION = "1"
@@ -52,14 +56,8 @@ class ProblemFile:
         space = MeasureSpace(
             tuple(self.points), np.array([self.mu[p] for p in self.points])
         )
-        edges = tuple(
-            Edge(e["u"], e["v"], float(e["weight"]), float(e["exponent"]))
-            for e in self.edges
-        )
-        kill = tuple(
-            KillTerm(k["point"], float(k["kappa"]), float(k["exponent"]))
-            for k in self.kill
-        )
+        edges = tuple(Edge(**e) for e in self.edges)
+        kill = tuple(KillTerm(**k) for k in self.kill)
         return EnergySpec(space, edges, kill, frozenset(self.boundary))
 
 
@@ -68,22 +66,52 @@ def _require(cond: bool, message: str):
         raise StructuralError(message)
 
 
-def _is_number(value) -> bool:
-    """A JSON number: an int or a float (not a boolean), finite as a float."""
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:  # an int past the float range
-        return False
+def _as_float(value) -> float:
+    """A JSON number as a float.  Anything else (a boolean, an int past the
+    float range, a string, an object) reads as NaN, which the range check of
+    the value's owner rejects under the record's name."""
+    if type(value) in (int, float):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    return math.nan
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _require_keys(record: dict, keys: tuple[str, ...], where: str):
+def _require_keys(record: dict, keys, where: str):
     for key in record:
         if key not in keys:
             raise StructuralError(f"{where}: unknown key {key!r}")
+
+
+# section -> (record name, key -> default); a None default marks a required
+# point name, every other key is a number
+_RECORDS = {
+    "edges": ("edge", {"u": None, "v": None, "weight": 1.0, "exponent": 2.0}),
+    "kill": ("kill", {"point": None, "kappa": 0.0, "exponent": 2.0}),
+}
+
+
+def _read_records(raw: dict, section: str) -> list[dict]:
+    """The records of ``section`` with their defaults filled and their numbers
+    as floats, in the key order of ``_RECORDS``."""
+    name, keys = _RECORDS[section]
+    records = raw.get(section, [])
+    _require(isinstance(records, list), f"{section} must be a list")
+    out = []
+    for i, record in enumerate(records):
+        where = f"{name} {i}"
+        _require(isinstance(record, dict), f"{where}: must be an object")
+        _require_keys(record, keys, where)
+        row = {}
+        for key, default in keys.items():
+            if default is None:
+                _require(isinstance(record.get(key), str), f"{where}: {key} must name a point")
+                row[key] = record[key]
+            else:
+                row[key] = _as_float(record.get(key, default))
+        out.append(row)
+    return out
 
 
 def parse_problem(text: str) -> ProblemFile:
@@ -95,7 +123,8 @@ def parse_problem(text: str) -> ProblemFile:
         ) from exc
     _require(isinstance(raw, dict), "problem file must be a JSON object")
     _require_keys(raw, ("version", "space", "edges", "kill", "boundary", "defaults"), "problem file")
-    version = str(raw.get("version", FORMAT_VERSION))
+    version = raw.get("version", FORMAT_VERSION)
+    _require(isinstance(version, str), "version must be a string")
 
     space = raw.get("space")
     _require(isinstance(space, dict), "missing 'space' object")
@@ -105,70 +134,26 @@ def parse_problem(text: str) -> ProblemFile:
         isinstance(points, list) and all(isinstance(p, str) for p in points),
         "space.points must be a list of strings",
     )
-    _require(len(points) == len(set(points)), "space.points must be unique")
     mu_raw = space.get("mu", {})
     _require(isinstance(mu_raw, dict), "space.mu must be an object")
-    mu = {}
-    for p in points:
-        v = mu_raw.get(p, 1.0)
-        _require(
-            _is_number(v) and v > 0,
-            f"space.mu[{p!r}]: measure weight must be > 0 and finite",
-        )
-        mu[p] = float(v)
+    mu = {p: _as_float(mu_raw.get(p, 1.0)) for p in points}
     for p in mu_raw:
         _require(p in mu, f"space.mu names unknown point {p!r}")
-
-    edges = []
-    for i, e in enumerate(raw.get("edges", [])):
-        _require(isinstance(e, dict), f"edge {i}: must be an object")
-        _require_keys(e, ("u", "v", "weight", "exponent"), f"edge {i}")
-        for key in ("u", "v"):
-            _require(key in e, f"edge {i}: missing endpoint {key!r}")
-            _require(e[key] in mu, f"edge {i}: unknown point {e[key]!r}")
-        _require(e["u"] != e["v"], f"edge {i}: self-loops are not allowed")
-        w = e.get("weight", 1.0)
-        _require(
-            _is_number(w) and w > 0, f"edge {i}: weight must be > 0 and finite"
-        )
-        p = e.get("exponent", 2.0)
-        _require(
-            _is_number(p) and p > 1,
-            f"edge {i}: exponent must exceed 1 and be finite",
-        )
-        edges.append(
-            {"u": e["u"], "v": e["v"], "weight": float(w), "exponent": float(p)}
-        )
-
-    kill = []
-    for i, k in enumerate(raw.get("kill", [])):
-        _require(isinstance(k, dict), f"kill {i}: must be an object")
-        _require_keys(k, ("point", "kappa", "exponent"), f"kill {i}")
-        _require("point" in k and k["point"] in mu, f"kill {i}: unknown point")
-        kappa = k.get("kappa", 0.0)
-        _require(
-            _is_number(kappa) and kappa >= 0,
-            f"kill {i}: kappa must be >= 0 and finite",
-        )
-        q = k.get("exponent", 2.0)
-        _require(
-            _is_number(q) and q > 1,
-            f"kill {i}: exponent must exceed 1 and be finite",
-        )
-        kill.append(
-            {"point": k["point"], "kappa": float(kappa), "exponent": float(q)}
-        )
+    edges = _read_records(raw, "edges")
+    kill = _read_records(raw, "kill")
 
     boundary = raw.get("boundary", [])
-    _require(isinstance(boundary, list), "boundary must be a list")
-    for p in boundary:
-        _require(p in mu, f"boundary names unknown point {p!r}")
+    _require(
+        isinstance(boundary, list) and all(isinstance(p, str) for p in boundary),
+        "boundary must be a list of point names",
+    )
 
     defaults = raw.get("defaults", {})
     _require(isinstance(defaults, dict), "defaults must be an object")
     _require_keys(defaults, ("tol", "max_iterations"), "defaults")
-    _require(_is_number(defaults.get("tol", 0)), "defaults.tol must be a number")
-    _require(_is_int(defaults.get("max_iterations", 0)), "defaults.max_iterations must be an integer")
+    tol, max_iterations = defaults.get("tol", 0), defaults.get("max_iterations", 0)
+    _require(not math.isnan(_as_float(tol)), "defaults.tol must be a number")
+    _require(type(max_iterations) is int, "defaults.max_iterations must be an integer")
 
     problem = ProblemFile(
         version=version,
@@ -176,10 +161,16 @@ def parse_problem(text: str) -> ProblemFile:
         mu=mu,
         edges=edges,
         kill=kill,
-        boundary=[p for p in points if p in set(boundary)],
+        boundary=boundary,
         defaults=dict(defaults),
     )
-    problem.spec = problem.to_energy_spec()  # enforce all construction invariants now
+    # the values are checked where they are owned: mu by MeasureSpace, the
+    # rest by EnergySpec
+    try:
+        problem.spec = problem.to_energy_spec()
+    except ParameterError as exc:
+        raise StructuralError(str(exc)) from exc
+    problem.boundary = [points[i] for i in np.flatnonzero(problem.spec.boundary_mask)]
     return problem
 
 

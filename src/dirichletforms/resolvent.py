@@ -50,8 +50,8 @@ class ProxConfig:
     max_iterations: int = 20_000
 
     def __post_init__(self):
-        if not self.residual_tolerance > 0:
-            raise ParameterError("residual_tolerance must be > 0")
+        if not 0 < self.residual_tolerance < math.inf:
+            raise ParameterError("residual_tolerance must be > 0 and finite")
         if self.max_iterations < 0:
             raise ParameterError("max_iterations must be >= 0")
 
@@ -287,8 +287,8 @@ def prox(
     x0=None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Resolvent G_alpha f with certified optimality residual."""
-    if not alpha > 0:
-        raise ParameterError("alpha must be > 0")
+    if not 0 < alpha < math.inf:
+        raise ParameterError("alpha must be > 0 and finite")
     f = spec.space.check_field(f)
     x0 = None if x0 is None else spec.space.check_field(x0)
     g, report = _solve_shifted(spec, alpha, f, None, None, x0, cfg)
@@ -300,8 +300,8 @@ def resolvent_identity_check(
     spec: EnergySpec, alpha: float, beta: float, f, cfg: ProxConfig = ProxConfig()
 ):
     """Residual of G_alpha f = G_beta(f + (beta - alpha) G_alpha f)."""
-    if not (alpha > 0 and beta > 0):
-        raise ParameterError("alpha and beta must be > 0")
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):
+        raise ParameterError("alpha and beta must be > 0 and finite")
     f = spec.space.check_field(f)
     ga, _ = prox(spec, alpha, f, cfg)
     gb, _ = prox(spec, beta, f + (beta - alpha) * ga, cfg, x0=ga)
@@ -397,8 +397,8 @@ def green(
     until two consecutive iterates agree in sup-norm; InconclusiveError if
     it runs out first.  ``finite``: no entry of ``value`` is +inf.
     """
-    if not alpha0 > 0:
-        raise ParameterError("alpha0 must be > 0")
+    if not 0 < alpha0 < math.inf:
+        raise ParameterError("alpha0 must be > 0 and finite")
     f = spec.space.check_field(f)
     if np.any(f < 0):
         raise ParameterError("green requires f >= 0")

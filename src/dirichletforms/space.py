@@ -31,8 +31,11 @@ class MeasureSpace:
             raise StructuralError(
                 f"measure has {mu.shape} entries for {len(points)} points"
             )
-        if not np.all(np.isfinite(mu)) or np.any(mu <= 0):
-            raise StructuralError("every measure weight must be finite and > 0")
+        bad = np.flatnonzero(~((0 < mu) & (mu < np.inf)))
+        if len(bad):
+            raise StructuralError(
+                f"space.mu[{points[bad[0]]!r}]: measure weight must be > 0 and finite"
+            )
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(points)})

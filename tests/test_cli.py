@@ -102,6 +102,19 @@ def test_roundtrip_is_normal_form(problem_path):
                      "kill 1: kappa must be >= 0", id="kappa-nan"),
         pytest.param(lambda d: d["edges"].append({"u": "a", "v": "b", "weight": 10**400}),
                      "edge 2: weight must be > 0", id="weight-past-float-range"),
+        # a section or a point name of the wrong JSON type
+        pytest.param(lambda d: d.update(edges=None), "edges must be a list", id="edges-null"),
+        pytest.param(lambda d: d.update(edges={"u": "a"}), "edges must be a list",
+                     id="edges-object"),
+        pytest.param(lambda d: d.update(kill=3), "kill must be a list", id="kill-number"),
+        pytest.param(lambda d: d["edges"].append({"u": ["a"], "v": "b"}),
+                     "edge 2: u must name a point", id="u-list"),
+        pytest.param(lambda d: d["kill"].append({"point": {}}),
+                     "kill 1: point must name a point", id="point-object"),
+        pytest.param(lambda d: d.update(boundary=[["c"]]),
+                     "boundary must be a list of point names", id="boundary-nested"),
+        pytest.param(lambda d: d.update(version={"a": 1}), "version must be a string",
+                     id="version-object"),
     ],
 )
 def test_parse_errors_name_the_record(mutate, fragment):
@@ -331,11 +344,40 @@ def test_profile_command(problem_path, capsys):
     assert len(alphas) == 2 and alphas[1] <= alphas[0] + 1e-12
 
 
-def test_every_command_rejects_a_nonpositive_tolerance(problem_path):
+def test_every_command_rejects_a_nonpositive_tolerance(problem_path, tmp_path, capsys):
     # profile and luxemburg do not solve, but they validate the solver settings too
     assert main(["profile", problem_path, "--tol", "0"]) == 2
     assert main(["luxemburg", problem_path, "--tol", "0"]) == 2
     assert main(["classify", problem_path, "--tol", "0"]) == 2
+    # an infinite tolerance would stop every solver at its first iterate
+    for argv in (["profile"], ["classify"], ["resolvent", "--field", "1"], ["green", "--field", "1"]):
+        assert main([argv[0], problem_path, *argv[1:], "--tol", "inf"]) == 2
+    doc = json.loads(json.dumps(PROBLEM))
+    doc["defaults"] = {"tol": math.inf}  # written as Infinity, which Python's parser reads
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    assert main(["resolvent", str(path), "--field", "1"]) == 2
+    assert "residual_tolerance must be > 0 and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["resolvent", "--field", "1", "--alpha0", "inf"],
+        ["green", "--field", "1", "--alpha0", "inf"],
+        ["luxemburg", "--field", "1", "--r", "inf"],
+        ["profile", "--p", "nan"],
+        ["profile", "--p", "inf"],
+        ["profile", "--r-grid", "nan,inf"],
+        ["hardy-weight", "--terms", "0"],
+        ["hardy-weight", "--terms", "-1"],
+    ],
+)
+def test_out_of_range_numeric_parameters_are_usage_errors(argv, problem_path, capsys):
+    assert main([argv[0], problem_path, *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_a_negative_iteration_budget_is_a_usage_error(problem_path, tmp_path, capsys):

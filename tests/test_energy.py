@@ -70,6 +70,29 @@ def test_invalid_parameters_rejected():
             EnergySpec(space, (), (KillTerm("a", value, 2.0),))
 
 
+def test_the_first_bad_record_is_named():
+    # the checks run over whole arrays; each names the lowest bad index
+    space = MeasureSpace(("a", "b", "c"), np.ones(3))
+    ok = Edge("a", "b", 1.0, 2.0)
+    cases = [
+        ((ok, Edge("a", "y", 1.0, 2.0), Edge("x", "b", 1.0, 2.0)), (), "edge 1: unknown point 'y'"),
+        ((ok, ok, Edge("c", "c", 1.0, 2.0), Edge("b", "b", 1.0, 2.0)), (),
+         "edge 2: self-loops are not allowed"),
+        ((ok, Edge("a", "b", 0.0, 2.0), Edge("a", "b", -1.0, 2.0)), (), "edge 1: weight"),
+        ((Edge("b", "c", 1.0, 1.0), ok, Edge("a", "c", 1.0, 0.5)), (), "edge 0: exponent"),
+        ((), (KillTerm("a", 1.0, 2.0), KillTerm("z", 1.0, 2.0)), "kill 1: unknown point 'z'"),
+        ((), (KillTerm("a", 1.0, 2.0), KillTerm("b", 1.0, 2.0), KillTerm("c", -1.0, 2.0)),
+         "kill 2: kappa"),
+    ]
+    for edges, kill, message in cases:
+        with pytest.raises((ParameterError, StructuralError), match=message):
+            EnergySpec(space, edges, kill)
+    with pytest.raises(StructuralError, match="boundary names unknown point 'q'"):
+        EnergySpec(space, (ok,), (), frozenset({"a", "q"}))
+    with pytest.raises(StructuralError, match=r"space.mu\['b'\]: measure weight must be > 0"):
+        MeasureSpace(("a", "b", "c"), np.array([1.0, 0.0, math.nan]))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_gradient_matches_central_difference(seed):
     spec = random_connected_spec(

@@ -1,9 +1,12 @@
-"""Property tests for the homogeneity laws of the Luxemburg seminorm and K-tilde.
+"""Property tests for the homogeneity laws of the Luxemburg seminorm and K-tilde,
+and for the problem-file parser's error contract.
 
 Specs come from the ``conftest`` path, grid and random generators with at
 most 200 points; the hypothesis profile registered in ``conftest`` makes
 every run draw the same examples.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -17,7 +20,10 @@ from dirichletforms import (
     luxemburg_family_check,
     luxemburg_norm,
 )
+from dirichletforms.errors import StructuralError
+from dirichletforms.problemio import ProblemFile, parse_problem
 from conftest import grid_spec, path_spec, random_connected_spec
+from test_cli import PROBLEM
 
 exponents = st.floats(1.5, 3.5)
 
@@ -80,3 +86,40 @@ def test_one_exponent_K_tilde_is_homogeneous(spec, seed, t):
     base = hardy_optimal_constant(spec, w, search_budget=0)["K_tilde"]
     scaled = hardy_optimal_constant(spec, t * w, search_budget=0)["K_tilde"]
     assert scaled == pytest.approx(t * base, rel=1e-8)
+
+
+def _value_paths(node, path=()):
+    """The path of every value in a JSON document, the root included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _value_paths(child, path + (key,))
+
+
+# any JSON value, with the document's point names, NaN, the infinities and an
+# int past the float range among the leaves
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
+    | st.sampled_from(["a", "b", "c", "z"]) | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(list(_value_paths(PROBLEM))), json_values)
+def test_a_replaced_value_parses_or_is_a_structural_error(path, value):
+    doc = json.loads(json.dumps(PROBLEM))
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    try:
+        problem = parse_problem(json.dumps(doc))
+    except StructuralError:
+        return
+    assert isinstance(problem, ProblemFile)
