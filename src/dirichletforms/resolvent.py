@@ -399,6 +399,8 @@ def green(
     """
     if not 0 < alpha0 < math.inf:
         raise ParameterError("alpha0 must be > 0 and finite")
+    if depth < 0:
+        raise ParameterError("depth must be >= 0")
     f = spec.space.check_field(f)
     if np.any(f < 0):
         raise ParameterError("green requires f >= 0")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,28 @@ def central_difference_gradient(fn, f, h: float = 1e-6) -> np.ndarray:
         e[i] = h
         g[i] = (fn(f + e) - fn(f - e)) / (2 * h)
     return g
+
+
+# -- problem-file normal form ----------------------------------------------
+
+
+def serialize_oracle(problem) -> str:
+    """The normal form of a parsed problem file as ``json.dumps(..., indent=2)``
+    writes it, from the spec that parsing built: the oracle of
+    ``problemio.serialize_problem``."""
+    spec = problem.spec
+    points = list(spec.space.points)
+    doc = {
+        "version": problem.version,
+        "space": {"points": points, "mu": dict(zip(points, spec.space.mu.tolist()))},
+        "edges": [
+            {"u": e.u, "v": e.v, "weight": e.weight, "exponent": e.exponent} for e in spec.edges
+        ],
+        "kill": [{"point": k.point, "kappa": k.kappa, "exponent": k.exponent} for k in spec.kill],
+        "boundary": [p for p in points if p in spec.boundary],
+        "defaults": problem.defaults,
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ from dirichletforms.problemio import (
     parse_problem,
     serialize_problem,
 )
+from conftest import serialize_oracle
 
 PROBLEM = {
     "version": "1",
@@ -46,6 +47,21 @@ def test_roundtrip_is_normal_form(problem_path):
     again = parse_problem(text)
     assert serialize_problem(again) == text
     assert input_digest(again) == input_digest(problem)
+
+
+def test_input_digest_is_pinned():
+    # the digest is part of every answer, so its bytes must not drift
+    problem = parse_problem(json.dumps(PROBLEM))
+    assert input_digest(problem) == (
+        "b18b01e2037062e0718bac5b2f3ada1ce4273aae9e833b4eb42cfa1a8f47a75c"
+    )
+    assert serialize_problem(problem) == serialize_oracle(problem)
+
+
+def _deep(section, bad):
+    """A mutation that puts ``bad`` at record 4999 of 5000, after copies of
+    the section's first record."""
+    return lambda d: d.update({section: [d[section][0]] * 4999 + [bad]})
 
 
 @pytest.mark.parametrize(
@@ -115,6 +131,17 @@ def test_roundtrip_is_normal_form(problem_path):
                      "boundary must be a list of point names", id="boundary-nested"),
         pytest.param(lambda d: d.update(version={"a": 1}), "version must be a string",
                      id="version-object"),
+        # the bad record deep in a long section, where only its column fails
+        pytest.param(_deep("edges", {"u": "a", "v": "b", "weight": True}),
+                     "edge 4999: weight must be > 0", id="deep-weight-true"),
+        pytest.param(_deep("edges", ["a", "b"]), "edge 4999: must be an object",
+                     id="deep-non-object"),
+        pytest.param(_deep("kill", {"point": "a", "kapa": 1.0}),
+                     "kill 4999: unknown key 'kapa'", id="deep-key-kapa"),
+        pytest.param(_deep("edges", {"u": "a", "v": "b", "weight": 10**400}),
+                     "edge 4999: weight must be > 0", id="deep-weight-past-float-range"),
+        pytest.param(_deep("edges", {"u": ["a"], "v": "b"}),
+                     "edge 4999: u must name a point", id="deep-u-list"),
     ],
 )
 def test_parse_errors_name_the_record(mutate, fragment):
@@ -371,6 +398,7 @@ def test_every_command_rejects_a_nonpositive_tolerance(problem_path, tmp_path, c
         ["profile", "--r-grid", "nan,inf"],
         ["hardy-weight", "--terms", "0"],
         ["hardy-weight", "--terms", "-1"],
+        ["green", "--field", "1", "--schedule-depth", "-1"],
     ],
 )
 def test_out_of_range_numeric_parameters_are_usage_errors(argv, problem_path, capsys):

@@ -1,5 +1,6 @@
 """Property tests for the homogeneity laws of the Luxemburg seminorm and K-tilde,
-and for the problem-file parser's error contract.
+for the problem-file parser's error contract and for the bytes of its normal
+form.
 
 Specs come from the ``conftest`` path, grid and random generators with at
 most 200 points; the hypothesis profile registered in ``conftest`` makes
@@ -7,6 +8,10 @@ every run draw the same examples.
 """
 
 import json
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +26,8 @@ from dirichletforms import (
     luxemburg_norm,
 )
 from dirichletforms.errors import StructuralError
-from dirichletforms.problemio import ProblemFile, parse_problem
-from conftest import grid_spec, path_spec, random_connected_spec
+from dirichletforms.problemio import ProblemFile, parse_problem, serialize_problem
+from conftest import grid_spec, path_spec, random_connected_spec, serialize_oracle
 from test_cli import PROBLEM
 
 exponents = st.floats(1.5, 3.5)
@@ -123,3 +128,89 @@ def test_a_replaced_value_parses_or_is_a_structural_error(path, value):
     except StructuralError:
         return
     assert isinstance(problem, ProblemFile)
+
+
+# point names the encoder escapes; numbers whose tokens are easy to get wrong
+point_names = st.sampled_from(['"', "\\", '", "', "\u00e9", "\u6f22", "\x00", "\n", "\x1f"]) | st.text(
+    max_size=4
+)
+edge_cases = st.sampled_from([1, 2, 5e-324, 1e-05, 1e16, 1e300])
+positive = edge_cases | st.integers(1, 10**20) | st.floats(5e-324, 1e300)
+exponents_above_1 = st.sampled_from([2, 3, 1.5, 1e16, 1e300]) | st.floats(1.0, 1e300, exclude_min=True)
+kappas = st.sampled_from([0, -0.0]) | edge_cases | st.floats(0.0, 1e300)
+
+
+@st.composite
+def problem_docs(draw):
+    """A valid problem document; any key with a default may be left out."""
+    points = draw(st.lists(point_names, unique=True, max_size=5))
+    maybe = lambda: draw(st.booleans())
+    mu = {p: draw(positive) for p in points if maybe()}
+    doc = {"space": {"points": points, "mu": mu}}
+    if maybe():
+        doc["version"] = draw(point_names)
+    if len(points) >= 2:
+        pairs = st.lists(st.sampled_from(points), min_size=2, max_size=2, unique=True)
+        doc["edges"] = []
+        for u, v in draw(st.lists(pairs, max_size=4)):
+            edge = {"u": u, "v": v}
+            if maybe():
+                edge["weight"] = draw(positive)
+            if maybe():
+                edge["exponent"] = draw(exponents_above_1)
+            doc["edges"].append(edge)
+    if points:
+        doc["kill"] = []
+        for point in draw(st.lists(st.sampled_from(points), max_size=3)):
+            term = {"point": point}
+            if maybe():
+                term["kappa"] = draw(kappas)
+            if maybe():
+                term["exponent"] = draw(exponents_above_1)
+            doc["kill"].append(term)
+        doc["boundary"] = draw(st.lists(st.sampled_from(points), max_size=3))
+    if maybe():
+        doc["defaults"] = {"tol": draw(positive), "max_iterations": draw(st.integers(0, 100))}
+    return doc
+
+
+def _as_floats(node):
+    """The document with every number a float: 1 and 1.0 must digest alike."""
+    if isinstance(node, dict):
+        return {k: v if k == "defaults" else _as_floats(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_as_floats(v) for v in node]
+    return float(node) if type(node) is int else node
+
+
+@settings(max_examples=300)
+@given(problem_docs())
+def test_the_normal_form_is_the_indented_encoding(doc):
+    problem = parse_problem(json.dumps(doc))
+    text = serialize_problem(problem)
+    assert text == serialize_oracle(problem)
+    assert serialize_problem(parse_problem(text)) == text
+    assert serialize_problem(parse_problem(json.dumps(_as_floats(doc)))) == text
+
+
+def test_a_failing_property_is_reported_as_one_failure(tmp_path):
+    # reporting a failing example makes hypothesis import libcst, whose
+    # deprecation warning the "error" warning filter must not turn into an
+    # INTERNALERROR that aborts the session
+    test_file = tmp_path / "test_failing_property.py"
+    test_file.write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(database=None, derandomize=True)
+        @given(st.integers())
+        def test_fails(n):
+            assert n < 10
+    """))
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(pyproject),
+         "--rootdir", str(tmp_path), str(test_file)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert "1 failed" in run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr
