@@ -32,6 +32,14 @@ CONTRACTION_SAMPLES = 200
 CONTRACTION_TOL = 1e-12
 SCALAR_TOL = 1e-12  # of the relative violations in ``fuzz_scalar_inequalities``
 
+# A Hessian pattern of m points is wide when its reverse Cuthill-McKee
+# bandwidth exceeds this multiple of sqrt(m): there a sparse LU fills in, and
+# ``resolvent._newton_direction`` runs CG.  Paths have bandwidth 1, 2-D grids
+# about sqrt(m), and random sparse graphs 6-42 sqrt(m) at 200-10^4 points,
+# where CG is level with the LU at 200 points and faster above (see
+# ROADMAP.md, item 4).
+_WIDE_BANDWIDTH = 2.0
+
 
 @dataclass(frozen=True)
 class Edge:
@@ -170,6 +178,18 @@ class EnergySpec:
         slot = np.full(len(rows), len(keys))
         slot[inner] = inner_slot
         return HessianPattern(slot, keys % m, keys // m)
+
+    @cached_property
+    def _hessian_is_wide(self) -> bool:
+        """Whether ``_hessian_pattern`` is wide (see ``_WIDE_BANDWIDTH``)."""
+        pattern = self._hessian_pattern
+        m = int(np.count_nonzero(self.free_mask))
+        rows, cols = pattern.rows, pattern.cols
+        A = sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=(m, m))
+        position = np.empty(m, dtype=int)
+        position[csgraph.reverse_cuthill_mckee(A, symmetric_mode=True)] = np.arange(m)
+        bandwidth = int(np.max(np.abs(position[rows] - position[cols])))
+        return bandwidth > _WIDE_BANDWIDTH * math.sqrt(m)
 
     @cached_property
     def components(self) -> list[np.ndarray]:

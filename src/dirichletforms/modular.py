@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .energy import INEQ_TOL, EnergySpec, _term_sum, energy, energy_gradient
 from .errors import InternalCheckError, ParameterError
@@ -68,6 +67,9 @@ def _scale_root(modular, value: float, rates, rtol: float) -> float:
     """
     if rates[0] == rates[1]:
         return value ** (1.0 / rates[0])
+    # imported here: loading it takes 0.2 s, and only mixed exponents need it
+    from scipy import optimize
+
     a, b = sorted(math.log(value) / rate for rate in rates)
 
     def gap(u):

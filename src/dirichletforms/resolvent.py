@@ -11,8 +11,12 @@ of ``modular`` are cases with alpha = 0.  The core is a projected damped
 Newton method with an active set: backtracking on the optimality residual
 ||grad E(g) + alpha g - f||_mu, zeroed where a bound holds the coordinate.
 Each Newton direction solves the Hessian system on the free coordinates:
-densely below a measured size, above it by a sparse LU of the Hessian
-assembled from a pattern cached on the spec.  Where E is not twice
+densely below a measured size; above it, on the sparse Hessian assembled
+from a pattern cached on the spec, by Jacobi-preconditioned conjugate
+gradients where that pattern is wide (a random sparse graph, on which a
+sparse LU fills in) and by a sparse LU where it is narrow (paths, grids),
+or where CG cannot finish: at an iterate with a capped curvature, or past
+its iteration cap.  Where E is not twice
 differentiable no step may cut the residual, and the same loop backtracks
 on the objective instead.  For alpha > 0 the residual bounds the error by
 residual / alpha; at alpha = 0 it bounds nothing where E is flat (near
@@ -27,12 +31,13 @@ and returns the extended array.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .energy import EnergySpec, _gradient, _term_sum, perturb
 from .errors import (
@@ -73,11 +78,22 @@ _EPS = np.finfo(float).eps
 
 _CURVATURE_CAP = 1e12  # exponents below 2 have unbounded curvature at zero
 
-# Free points from which a Newton direction is found by sparse LU instead of
-# a dense solve.  Measured on paths, grids and random sparse graphs with one
+# Free points from which a Newton direction is found by a sparse solve (LU
+# or CG) instead of a dense one.  Measured on paths, grids and random sparse graphs with one
 # BLAS thread: the dense solve is faster up to 100-300 points depending on
 # the graph (see CHANGES.md).
 _DENSE_MAX = 200
+
+# CG on a wide pattern stops at this residual relative to the right-hand
+# side; at 1e-10 its directions came as close as 9.4e-11 to the 1e-10
+# relative error that a direction may have.  Past this many iterations it
+# gives the block to the sparse LU: random sparse graphs of 800-3000 points
+# take 25-110 at shifts 1 and 1e-14 (see ROADMAP.md, item 4).
+_CG_RTOL = 1e-11
+_CG_MAX_ITER = 500
+
+# the linear solves of one ``_solve_shifted`` call, in its report's extras
+_LINEAR_TALLY = ("dense", "splu", "cg", "cg_iterations", "cg_fallbacks")
 
 # a coordinate within this distance of a bound counts as on it
 _BOUND_TOL = 1e-12
@@ -121,15 +137,24 @@ def energy_hessian(spec: EnergySpec, g, alpha: float = 0.0) -> np.ndarray:
     return H
 
 
-def _newton_direction(spec: EnergySpec, g, alpha: float, free, rhs):
+def _newton_direction(spec: EnergySpec, g, alpha: float, free, rhs, tally=None):
     """Solve (H + alpha M) delta = rhs on the coordinates in ``free``.
 
     H is the energy Hessian at g and M = diag(mu); ``free`` lies inside
-    ``spec.free_mask`` and delta is 0 off it.  Returns None when the block
-    is singular.
+    ``spec.free_mask`` and delta is 0 off it.  Below ``_DENSE_MAX`` free
+    points the block is solved densely.  Above, a wide Hessian pattern
+    (``EnergySpec._hessian_is_wide``) is solved by Jacobi-preconditioned CG
+    to ``_CG_RTOL``, unless a curvature sits at ``_CURVATURE_CAP`` (CG then
+    stalls); a narrow pattern, a capped iterate and a CG solve that is not
+    done after ``_CG_MAX_ITER`` iterations are factored by a sparse LU.
+    Returns None when the block is singular.  ``tally`` (a dict keyed by
+    ``_LINEAR_TALLY``) counts the solves.
     """
+    if tally is None:
+        tally = dict.fromkeys(_LINEAR_TALLY, 0)
     pattern = spec._hessian_pattern
-    data = pattern.fill(*_curvatures(spec, g), alpha * spec.space.mu)
+    ce, ck = _curvatures(spec, g)
+    data = pattern.fill(ce, ck, alpha * spec.space.mu)
     rows, cols = pattern.rows, pattern.cols
     inside = free[spec.free_mask]
     m = int(np.count_nonzero(inside))
@@ -139,20 +164,39 @@ def _newton_direction(spec: EnergySpec, g, alpha: float, free, rhs):
         data, rows, cols = data[keep], local[rows[keep]], local[cols[keep]]
     delta = np.zeros(spec.space.n)
     if m < _DENSE_MAX:
+        tally["dense"] += 1
         H = np.zeros((m, m))
         H[rows, cols] = data
         try:
             delta[free] = np.linalg.solve(H, rhs[free])
         except np.linalg.LinAlgError:
             return None
-    else:
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=m))))
-        A = sparse.csc_array((data, rows, indptr), shape=(m, m))
-        try:
-            lu = splu(A, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError:  # SuperLU: "Factor is exactly singular"
-            return None
-        delta[free] = lu.solve(rhs[free])
+        return delta
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=m))))
+    A = sparse.csc_array((data, rows, indptr), shape=(m, m))
+    capped = max(ce.max(initial=0.0), ck.max(initial=0.0)) >= _CURVATURE_CAP
+    diagonal = A.diagonal()
+    # CG stalls at a capped curvature, and a zero diagonal entry is a zero
+    # row: a singular block, for the LU to report
+    if spec._hessian_is_wide and not capped and diagonal.all():
+        steps = itertools.count()
+        x, info = cg(
+            A, rhs[free], rtol=_CG_RTOL, maxiter=_CG_MAX_ITER,
+            M=LinearOperator(A.shape, matvec=lambda r: r / diagonal, dtype=float),
+            callback=lambda _: next(steps),
+        )
+        tally["cg_iterations"] += next(steps)
+        if info == 0:
+            tally["cg"] += 1
+            delta[free] = x
+            return delta
+        tally["cg_fallbacks"] += 1
+    tally["splu"] += 1
+    try:
+        lu = splu(A, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        return None
+    delta[free] = lu.solve(rhs[free])
     return delta
 
 
@@ -173,7 +217,9 @@ def _solve_shifted(
     stops.  The report's ``converged`` compares the mu-norm of r with the
     tolerance; at alpha = 0 the loop also goes on until its last step is
     below the tolerance.  ``f`` and ``x0`` are checked fields: the core
-    validates nothing.
+    validates nothing.  The report's ``extras["linear"]`` counts the Newton
+    directions solved densely, by sparse LU and by CG, the CG iterations and
+    the CG solves that fell back to the LU.
     """
     n = spec.space.n
     mu = spec.space.mu
@@ -192,6 +238,7 @@ def _solve_shifted(
     # at alpha = 0 a tiny shift keeps flat directions of E solvable
     shift = alpha if alpha > 0 else 1e-14
     tol = cfg.residual_tolerance
+    linear = dict.fromkeys(_LINEAR_TALLY, 0)
 
     def projected(g):
         # mu-representation of the objective gradient, zero on the boundary
@@ -232,7 +279,7 @@ def _solve_shifted(
         free = free_mask
         if boxed:
             free = free & ((r != 0) | ((g > lo_in) & (g < hi_in)))
-        delta = _newton_direction(spec, g, shift, free, -(mu * r))
+        delta = _newton_direction(spec, g, shift, free, -(mu * r), linear)
         if delta is None or not np.isfinite(delta).all():
             # a singular or overflowed block: the shift's own Newton step
             delta = np.where(free, -r / (alpha or 1.0), 0.0)
@@ -266,7 +313,7 @@ def _solve_shifted(
         g, r, rnorm = g_new, r_new, rnorm_new
         it += 1
 
-    return g, SolveReport(iterations=it, residual=rnorm, converged=rnorm <= tol)
+    return g, SolveReport(it, rnorm, rnorm <= tol, {"linear": linear})
 
 
 def _require_converged(what: str, g, report: SolveReport, cfg: ProxConfig):

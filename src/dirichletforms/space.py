@@ -77,6 +77,12 @@ class MeasureSpace:
                 f"not a {type(values).__name__}"
             )
         out = np.zeros(self.n)
+        idx = np.array([self._index.get(point, -1) for point in values], dtype=int)
+        numbers = list(values.values())
+        if idx.min(initial=0) >= 0 and set(map(type, numbers)) <= {float, int}:
+            out[idx] = numbers
+            return out
+        # numpy scalars and numeric strings, or the first bad entry to name
         for point, value in values.items():
             out[self.index(point)] = _number(value)
         return out

@@ -1,7 +1,10 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -424,3 +427,17 @@ def test_hardy_weight_command(problem_path, capsys):
     weights = envelope["result"]["hardy_weight"]
     assert all(v > 0 for v in weights.values())
     assert envelope["result"]["K"] < float("inf")
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    # scipy.optimize takes about 0.2 s to import, and only the mixed-exponent
+    # root of ``modular._scale_root`` needs it
+    import dirichletforms
+
+    src = str(Path(dirichletforms.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, dirichletforms.cli; print('scipy.optimize' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse import csgraph
+from scipy.sparse.linalg import splu
 
 from dirichletforms import (
     Edge,
@@ -265,6 +268,152 @@ def test_newton_direction_singular_block_returns_none(n_points):
     g = np.linspace(0.0, 1.0, n_points)
     free = np.ones(n_points, dtype=bool)
     assert _newton_direction(spec, g, 0.0, free, np.ones(n_points)) is None
+
+
+def _count_calls(monkeypatch, name: str, owner=resolvent) -> list:
+    """Patch ``owner.<name>`` to record its calls."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def _tally() -> dict:
+    return dict.fromkeys(resolvent._LINEAR_TALLY, 0)
+
+
+def _family_spec(kind: str, n: int, p: float = 2.0) -> EnergySpec:
+    """About n points of the conftest path, grid or random family."""
+    if kind == "path":
+        return path_spec(n - 1, p)
+    if kind == "grid":
+        return grid_spec(math.isqrt(n), seed=2, p=p, n_kill=2, n_boundary=3)
+    return random_connected_spec(n, seed=3, p_range=(p, p), n_kill=3, n_boundary=2)
+
+
+@pytest.mark.parametrize("n", [4 * _DENSE_MAX, 3000])
+@pytest.mark.parametrize("kind", ["path", "grid", "random"])
+def test_wide_patterns_use_cg_and_narrow_ones_splu(kind, n, monkeypatch):
+    spec = _family_spec(kind, n)
+    cg_calls, splu_calls = _count_calls(monkeypatch, "cg"), _count_calls(monkeypatch, "splu")
+    rng = np.random.default_rng(1)
+    g = spec.project_feasible(rng.normal(size=spec.space.n))
+    tally = _tally()
+    delta = _newton_direction(spec, g, 1.0, spec.free_mask, rng.normal(size=spec.space.n), tally)
+    assert delta is not None
+    wide = kind == "random"
+    assert spec._hessian_is_wide is wide
+    assert (len(cg_calls), len(splu_calls)) == ((1, 0) if wide else (0, 1))
+    assert tally["cg"] == int(wide) and tally["splu"] == int(not wide)
+    assert (tally["cg_iterations"] > 0) is wide and tally["cg_fallbacks"] == 0
+
+
+def _splu_direction(spec, g, alpha, free, rhs):
+    A = sparse.csc_array(energy_hessian(spec, g, alpha)[np.ix_(free, free)])
+    delta = np.zeros(spec.space.n)
+    delta[free] = splu(A).solve(rhs[free])
+    return delta
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1e-14])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_cg_direction_matches_splu_direction(p, alpha):
+    spec = _family_spec("random", 4 * _DENSE_MAX, p)
+    rng = np.random.default_rng(4)
+    g = spec.project_feasible(rng.normal(size=spec.space.n))
+    rhs = rng.normal(size=spec.space.n)
+    inactive = spec.free_mask & (rng.random(spec.space.n) < 0.7)
+    for free in (spec.free_mask, inactive):
+        tally = _tally()
+        got = _newton_direction(spec, g, alpha, free, rhs, tally)
+        assert tally["cg"] == 1 and tally["splu"] == 0
+        want = _splu_direction(spec, g, alpha, free, rhs)
+        assert np.all(got[~free] == 0.0)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("info", [resolvent._CG_MAX_ITER, -1])
+def test_an_unfinished_cg_solve_falls_back_to_splu(info, monkeypatch):
+    # info > 0: the iteration cap; info < 0: a breakdown
+    spec = _family_spec("random", 4 * _DENSE_MAX)
+    rng = np.random.default_rng(5)
+    g = spec.project_feasible(rng.normal(size=spec.space.n))
+    rhs = rng.normal(size=spec.space.n)
+    cg_calls = []
+
+    def unfinished(A, b, **kwargs):
+        cg_calls.append(1)
+        kwargs["callback"](np.zeros_like(b))
+        return np.full_like(b, np.nan), info
+
+    monkeypatch.setattr(resolvent, "cg", unfinished)
+    splu_calls = _count_calls(monkeypatch, "splu")
+    tally = _tally()
+    got = _newton_direction(spec, g, 1.0, spec.free_mask, rhs, tally)
+    assert (len(cg_calls), len(splu_calls)) == (1, 1)
+    assert tally == {"dense": 0, "splu": 1, "cg": 0, "cg_iterations": 1, "cg_fallbacks": 1}
+    want = _splu_direction(spec, g, 1.0, spec.free_mask, rhs)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_a_capped_iterate_runs_no_cg(monkeypatch):
+    # p = 1.5 at the zero field: every curvature sits at the cap, where CG
+    # would stall, so even the wide pattern is factored
+    spec = _family_spec("random", 4 * _DENSE_MAX, p=1.5)
+    assert spec._hessian_is_wide
+    cg_calls, splu_calls = _count_calls(monkeypatch, "cg"), _count_calls(monkeypatch, "splu")
+    tally = _tally()
+    rhs = np.random.default_rng(6).normal(size=spec.space.n)
+    delta = _newton_direction(spec, np.zeros(spec.space.n), 1.0, spec.free_mask, rhs, tally)
+    assert delta is not None and np.all(np.isfinite(delta))
+    assert (len(cg_calls), len(splu_calls)) == (0, 1)
+    assert tally["splu"] == 1 and tally["cg"] == tally["cg_iterations"] == 0
+
+
+def test_a_singular_wide_block_returns_none():
+    # an isolated point without kill has a zero diagonal when unshifted:
+    # no CG, and the LU reports the singular block
+    rand = _family_spec("random", 4 * _DENSE_MAX)
+    space = MeasureSpace(rand.space.points + ("lonely",), np.ones(rand.space.n + 1))
+    spec = EnergySpec(space, rand.edges, rand.kill, rand.boundary)
+    assert spec._hessian_is_wide
+    g = spec.project_feasible(np.linspace(0.0, 1.0, space.n))
+    tally = _tally()
+    assert _newton_direction(spec, g, 0.0, spec.free_mask, np.ones(space.n), tally) is None
+    assert tally["splu"] == 1 and tally["cg"] == tally["cg_fallbacks"] == 0
+
+
+def test_the_bandwidth_is_computed_once_per_spec(monkeypatch):
+    calls = _count_calls(monkeypatch, "reverse_cuthill_mckee", csgraph)
+    spec = _family_spec("random", 4 * _DENSE_MAX, p=3.0)
+    f = spec.project_feasible(np.random.default_rng(7).normal(size=spec.space.n))
+    _, first = prox(spec, 1.0, f)
+    _, second = prox(spec, 0.5, f)
+    assert first.iterations > 1 and len(calls) == 1
+    assert first.extras["linear"]["cg"] == first.iterations
+    assert second.extras["linear"]["cg"] == second.iterations
+
+
+@pytest.mark.parametrize(
+    "kind, n, solver",
+    [("random", _DENSE_MAX // 4, "dense"), ("path", 4 * _DENSE_MAX, "splu"),
+     ("random", 4 * _DENSE_MAX, "cg")],
+)
+def test_the_report_tallies_the_linear_solves(kind, n, solver):
+    # a converged solve computes one direction per iteration
+    spec = _family_spec(kind, n, p=3.0)
+    f = spec.project_feasible(np.random.default_rng(8).normal(size=spec.space.n))
+    _, report = prox(spec, 1.0, f)
+    linear = report.extras["linear"]
+    assert report.iterations > 1 and linear[solver] == report.iterations
+    assert sum(linear[k] for k in ("dense", "splu", "cg")) == report.iterations
+    assert (linear["cg_iterations"] >= report.iterations) is (solver == "cg")
+    assert linear["cg_fallbacks"] == 0
 
 
 @pytest.mark.parametrize("kind", ["path", "random"])

@@ -46,6 +46,31 @@ def test_field_from_mapping_and_scalar():
     assert space.as_dict(f) == {"a": 2.0, "b": -1.0}
 
 
+def test_field_reads_a_large_mapping_and_names_its_first_bad_entry():
+    n = 5000
+    space = MeasureSpace(tuple(f"p{i}" for i in range(n)), np.ones(n))
+    values = {f"p{i}": 0.5 * i for i in range(0, n, 2)}
+    values["p1"] = 3  # ints are numbers
+    want = np.zeros(n)
+    want[::2] = 0.5 * np.arange(0, n, 2)
+    want[1] = 3.0
+    assert np.array_equal(space.field(values), want)
+    # numpy scalars and numeric strings still read, as float() reads them
+    assert np.array_equal(space.field({"p0": np.float64(1.5), "p2": "2.5"})[:3], [1.5, 0.0, 2.5])
+    for bad, message in (
+        ({"p4001": True}, "field value True is not a number"),
+        ({"p4001": None}, "field value None is not a number"),
+        ({"p4001": [1.0]}, r"field value \[1.0\] is not a number"),
+        ({"q": 1.0}, "unknown point 'q'"),
+        ({"q": "x"}, "field value 'x' is not a number"),  # the value is read first
+        ({"p4001": "x", "q": 1.0}, "field value 'x' is not a number"),
+        ({"p4001": 1.0, "q": "x"}, "field value 'x' is not a number"),
+        ({"q": 1.0, "p4001": "x"}, "unknown point 'q'"),
+    ):
+        with pytest.raises(StructuralError, match=message):
+            space.field({**values, **bad})
+
+
 def test_inner_and_norms():
     space = MeasureSpace(("a", "b"), np.array([2.0, 3.0]))
     f = np.array([1.0, -1.0])
