@@ -51,11 +51,16 @@ from .resolvent import ProxConfig
 
 DEFAULT_SEED = 20240901  # documented default for all randomized commands
 
-EXIT_USAGE = 2
-EXIT_INFEASIBLE = 3
-EXIT_NONCONVERGENCE = 4
-EXIT_INCONCLUSIVE = 5
-EXIT_INTERNAL_CHECK = 6
+# (exception type, exit code, stderr prefix), most specific first: the
+# first type that matches decides
+EXIT_CODES = (
+    (InfeasibleError, 3, "infeasible"),
+    (NonConvergenceError, 4, "non-convergence"),
+    (InconclusiveError, 5, "inconclusive"),
+    (InternalCheckError, 6, "internal check failed"),
+    (DirichletFormError, 2, "error"),  # usage, and a malformed problem file
+    (OSError, 2, "error"),
+)
 
 
 def _load(args) -> tuple[ProblemFile, EnergySpec, ProxConfig]:
@@ -289,24 +294,10 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         code = _run(args)
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except NonConvergenceError as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except InconclusiveError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    except InternalCheckError as exc:
-        print(f"internal check failed: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL_CHECK
-    except DirichletFormError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except tuple(kind for kind, _, _ in EXIT_CODES) as exc:
+        exit_code, prefix = next((c, p) for kind, c, p in EXIT_CODES if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return exit_code
     # timing goes to stderr so the stdout envelope stays byte-deterministic
     print(f"wall_time_s: {time.monotonic() - start:.3f}", file=sys.stderr)
     return code

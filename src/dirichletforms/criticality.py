@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import EnergySpec, connected_components, energy
+from .energy import EnergySpec, energy
 from .errors import InconclusiveError, InternalCheckError, NonConvergenceError, ParameterError
 from .modular import _luxemburg, _scale_root
 from .potential import equilibrium_potential
@@ -223,17 +223,15 @@ class CriticalityReport:
 def invariant_set_check(spec: EnergySpec, A, cfg: ProxConfig = ProxConfig(), seed: int = 0):
     """Decide invariance of a point set and cross-check numerically.
 
-    Ground truth for the graph family: A is invariant iff no edge joins a
-    non-boundary point of A to a non-boundary point outside A (edges into
-    the Dirichlet boundary are inert because feasible fields vanish there).
+    Ground truth for the graph family: A is invariant iff its indicator is
+    constant on each component of the graph off the Dirichlet boundary
+    (``EnergySpec.inner_components``; edges into the boundary are inert).
     The numeric evidence, to ``INVARIANCE_TOL``, is the energy inequality
     E(1_A f) <= E(f) on 8 random fields drawn from ``seed`` and on 1_A, and
     the resolvent identity G_a(1_A f) = 1_A G_a(1_A f).
     """
     mask = spec.space.indicator(A)
-    eu, ev, _, _ = spec._edge_arrays
-    inner = spec.free_mask[eu] & spec.free_mask[ev]
-    analytic = bool(np.all(mask[eu[inner]] == mask[ev[inner]]))
+    analytic = all(mask[c].all() or not mask[c].any() for c in spec.inner_components)
 
     rng = np.random.default_rng(seed)
     battery = [spec.project_feasible(rng.normal(size=spec.space.n)) for _ in range(8)]
@@ -274,19 +272,10 @@ def _nontrivial_invariant_set(spec: EnergySpec) -> frozenset[str] | None:
 
     Ties go to the component with the smallest point index.
     """
-    free = spec.free_mask
-    m = int(np.count_nonzero(free))
-    if m < 2:
+    comps = spec.inner_components
+    if len(comps) < 2:
         return None
-    eu, ev, _, _ = spec._edge_arrays
-    inner = free[eu] & free[ev]
-    local = np.cumsum(free) - 1
-    comps = connected_components(m, local[eu[inner]], local[ev[inner]])
-    if len(comps) <= 1:
-        return None
-    points = np.flatnonzero(free)
-    smallest = min(comps, key=len)
-    return frozenset(spec.space.points[i] for i in points[smallest])
+    return frozenset(spec.space.points[i] for i in min(comps, key=len))
 
 
 def classify(

@@ -79,22 +79,6 @@ class HessianPattern:
         return np.bincount(self.slot, weights=raw, minlength=len(self.rows) + 1)[:-1]
 
 
-def connected_components(n: int, u: np.ndarray, v: np.ndarray) -> list[np.ndarray]:
-    """Components of the graph on 0..n-1 with edges (u[i], v[i]).
-
-    Each component is a sorted index array; components come in order of
-    their smallest index.
-    """
-    if n == 0:
-        return []
-    adjacency = sparse.coo_array((np.ones(len(u)), (u, v)), shape=(n, n))
-    _, labels = csgraph.connected_components(adjacency, directed=False)
-    members = np.argsort(labels, kind="stable")
-    comps = np.split(members, np.cumsum(np.bincount(labels))[:-1])
-    comps.sort(key=lambda c: c[0])
-    return comps
-
-
 def _lookup(index: dict, names: list, where) -> np.ndarray:
     """The indices of ``names``; the first unknown name is a StructuralError
     that ``where(position)`` places."""
@@ -154,11 +138,13 @@ class EnergySpec:
 
     @cached_property
     def max_exponent(self) -> float:
-        return max((t.exponent for t in self.edges + self.kill), default=2.0)
+        exponents = np.concatenate((self._edge_arrays[3], self._kill_arrays[2]))
+        return float(exponents.max()) if len(exponents) else 2.0
 
     @cached_property
     def min_exponent(self) -> float:
-        return min((t.exponent for t in self.edges + self.kill), default=2.0)
+        exponents = np.concatenate((self._edge_arrays[3], self._kill_arrays[2]))
+        return float(exponents.min()) if len(exponents) else 2.0
 
     @cached_property
     def _hessian_pattern(self) -> HessianPattern:
@@ -192,27 +178,41 @@ class EnergySpec:
         return bandwidth > _WIDE_BANDWIDTH * math.sqrt(m)
 
     @cached_property
-    def components(self) -> list[np.ndarray]:
-        """Connected components of the full graph, as index arrays."""
+    def inner_components(self) -> list[np.ndarray]:
+        """Components of the graph on the points off the Dirichlet boundary.
+
+        Edges into the boundary are inert, since feasible fields vanish
+        there.  Each component is a sorted index array; components come in
+        order of their smallest index.  The invariant sets are exactly the
+        unions of these components.
+        """
+        free = self.free_mask
         eu, ev, _, _ = self._edge_arrays
-        return connected_components(self.space.n, eu, ev)
+        inner = free[eu] & free[ev]
+        n = self.space.n
+        graph = sparse.coo_array((np.ones(np.count_nonzero(inner)), (eu[inner], ev[inner])),
+                                 shape=(n, n))
+        _, labels = csgraph.connected_components(graph, directed=False)
+        members = np.argsort(labels, kind="stable")
+        comps = np.split(members, np.cumsum(np.bincount(labels))[:-1])
+        # drop each boundary point, a component of its own here, and the
+        # one empty piece that a space with no points splits into
+        return sorted((c for c in comps if len(c) and free[c[0]]), key=lambda c: c[0])
 
     @cached_property
     def free_components(self) -> list[np.ndarray]:
-        """Components with no positive kill and no boundary point.
+        """Inner components with no positive kill and no edge into the
+        boundary: the components of the whole graph that touch neither.
 
         Indicators of these components span the kernel of the energy: they
         are exactly the directions along which E vanishes at every scale.
         """
+        eu, ev, _, _ = self._edge_arrays
         ki, kk, _ = self._kill_arrays
-        killed = np.zeros(self.space.n, dtype=bool)
-        if len(ki):
-            np.add.at(killed, ki[kk > 0], True)
-        out = []
-        for comp in self.components:
-            if not killed[comp].any() and not self.boundary_mask[comp].any():
-                out.append(comp)
-        return out
+        cross = self.boundary_mask[eu] != self.boundary_mask[ev]
+        tied = np.zeros(self.space.n, dtype=bool)
+        tied[np.concatenate((ki[kk > 0], eu[cross], ev[cross]))] = True
+        return [c for c in self.inner_components if not tied[c].any()]
 
     # -- feasibility: exactly zero on the boundary --------------------------
 

@@ -113,6 +113,39 @@ def grid_spec(
     return EnergySpec(space, tuple(edges), kill, boundary)
 
 
+def box_spec(d: int, R: int, p: float = 2.0) -> EnergySpec:
+    """The box {-R, ..., R}^d of the lattice Z^d with unit weights, unit
+    measure and exponent p, its outer sphere (some |x_i| = R) on the
+    Dirichlet boundary.  Points are named by their coordinates: "0,0" is
+    the origin of Z^2."""
+    side = 2 * R + 1
+    coords = np.indices((side,) * d).reshape(d, -1).T
+    flat = np.arange(side**d)
+    # one step up axis k is side^(d-1-k) places on in the flat order
+    u = [flat[coords[:, k] < side - 1] for k in range(d)]
+    v = [u[k] + side ** (d - 1 - k) for k in range(d)]
+    names = [",".join(map(str, c)) for c in (coords - R).tolist()]
+    pairs = zip(np.concatenate(u).tolist(), np.concatenate(v).tolist())
+    edges = tuple(Edge(names[a], names[b], 1.0, p) for a, b in pairs)
+    outer = np.flatnonzero(np.any((coords == 0) | (coords == side - 1), axis=1))
+    boundary = frozenset(names[i] for i in outer.tolist())
+    return EnergySpec(MeasureSpace(tuple(names), np.ones(len(names))), edges, (), boundary)
+
+
+def tree_spec(b: int, depth: int, p: float = 2.0) -> EnergySpec:
+    """The b-ary tree of the given depth with unit weights, unit measure and
+    exponent p, its leaves on the Dirichlet boundary.  Points are named by
+    their heap index: "0" is the root, and i has children b i + 1, ...,
+    b i + b."""
+    n = (b ** (depth + 1) - 1) // (b - 1)
+    child = np.arange(1, n)
+    names = [str(i) for i in range(n)]
+    pairs = zip(((child - 1) // b).tolist(), child.tolist())
+    edges = tuple(Edge(names[u], names[v], 1.0, p) for u, v in pairs)
+    boundary = frozenset(names[(b**depth - 1) // (b - 1) :])
+    return EnergySpec(MeasureSpace(tuple(names), np.ones(n)), edges, (), boundary)
+
+
 def sparse_random_spec(seed: int) -> EnergySpec:
     """Random, often disconnected graph with repeated edges and a few
     Dirichlet points, for structural tests."""

@@ -25,6 +25,7 @@ from dirichletforms import (
 from dirichletforms import criticality
 from dirichletforms.criticality import _nontrivial_invariant_set
 from conftest import (
+    disjoint_union,
     path_spec,
     random_connected_spec,
     single_vertex_spec,
@@ -269,6 +270,39 @@ def test_classify_reducible():
     report = classify(spec)
     assert report.verdict is Verdict.REDUCIBLE
     assert report.invariant_set in ({"a", "b"}, {"c", "d"}, frozenset("ab"), frozenset("cd"))
+
+
+def _networkx_inner_components(spec):
+    """Components of the graph off the boundary by networkx, as sorted index
+    lists in order of their smallest index."""
+    nx = pytest.importorskip("networkx")
+    G = nx.Graph()
+    G.add_nodes_from(np.flatnonzero(spec.free_mask).tolist())
+    ends = ((spec.space.index(e.u), spec.space.index(e.v)) for e in spec.edges)
+    G.add_edges_from((u, v) for u, v in ends if u in G and v in G)
+    return sorted(sorted(c) for c in nx.connected_components(G))
+
+
+def test_reducible_verdict_at_1e3_points_matches_networkx():
+    # a killed part of 600 points beside a part of 400 with a boundary leaf
+    spec = disjoint_union({
+        "A": random_connected_spec(600, seed=1, n_kill=2),
+        "B": random_connected_spec(400, seed=2, n_boundary=1),
+    })
+    want = _networkx_inner_components(spec)
+    assert [c.tolist() for c in spec.inner_components] == want and len(want) == 2
+    report = classify(spec)
+    assert report.verdict is Verdict.REDUCIBLE
+    smallest = min(want, key=len)
+    assert report.invariant_set == frozenset(spec.space.points[i] for i in smallest)
+    assert report.diagnostics["invariant_check"]["invariant"]
+
+
+def test_critical_verdict_at_1e3_points_matches_networkx():
+    spec = random_connected_spec(1000, seed=3)
+    assert [c.tolist() for c in spec.inner_components] == _networkx_inner_components(spec)
+    assert [c.tolist() for c in spec.free_components] == [list(range(1000))]
+    assert classify(spec).verdict is Verdict.CRITICAL
 
 
 def test_dichotomy_is_stable_under_perturbation():

@@ -148,13 +148,25 @@ def test_kernel_basis_free_components():
 
 @pytest.mark.parametrize("seed", range(40))
 def test_components_match_networkx(seed):
+    # the components off the boundary, and the free ones among the
+    # components of the whole graph: no positive kill, no boundary point
     nx = pytest.importorskip("networkx")
-    spec = sparse_random_spec(seed)
+    base = sparse_random_spec(seed)
+    w = (np.random.default_rng(seed).random(base.space.n) < 0.1).astype(float)
+    spec = perturb(base, w)
+    boundary = {spec.space.index(p) for p in spec.boundary}
     G = nx.MultiGraph()
     G.add_nodes_from(range(spec.space.n))
     G.add_edges_from((spec.space.index(e.u), spec.space.index(e.v)) for e in spec.edges)
-    want = sorted((sorted(c) for c in nx.connected_components(G)), key=lambda c: c[0])
-    assert [c.tolist() for c in spec.components] == want
+
+    def ordered(comps):
+        return sorted((sorted(c) for c in comps), key=lambda c: c[0])
+
+    inner = nx.connected_components(G.subgraph(set(G) - boundary))
+    assert [c.tolist() for c in spec.inner_components] == ordered(inner)
+    tied = boundary | set(np.flatnonzero(w))
+    free = (c for c in nx.connected_components(G) if not c & tied)
+    assert [c.tolist() for c in spec.free_components] == ordered(free)
 
 
 def test_contraction_battery_valid():

@@ -28,11 +28,13 @@ from dirichletforms import resolvent
 from dirichletforms.potential import DERIVATIVE_TOL
 from dirichletforms.resolvent import ProxConfig, _solve_shifted
 from conftest import (
+    box_spec,
     grid_spec,
     one_sided_derivatives,
     path_spec,
     quadratic_matrix,
     random_connected_spec,
+    tree_spec,
 )
 
 
@@ -363,32 +365,22 @@ def test_path_capacity_series_resistance():
         assert res.value == pytest.approx(1.0 / (2.0 * n), abs=1e-8)
 
 
-def _binary_tree_spec(depth: int) -> tuple[EnergySpec, frozenset]:
-    pts = ["root"]
-    edges = []
-    level = ["root"]
-    for d in range(1, depth + 1):
-        new = []
-        for parent in level:
-            for side in "lr":
-                child = side if parent == "root" else parent + side
-                new.append(child)
-                pts.append(child)
-                edges.append(Edge(parent, child, 1.0, 2.0))
-        level = new
-    space = MeasureSpace(tuple(pts), np.ones(len(pts)))
-    boundary = frozenset(level)
-    return EnergySpec(space, tuple(edges), (), boundary), boundary
+# -- exhaustion: capacities of a fixed set in growing balls ------------------
+
+
+def _cap_of(spec, point):
+    return capacity(spec, {point}, np.ones(spec.space.n), cross_check=False).value
 
 
 def test_binary_tree_capacity_oracle():
-    # Dirichlet leaves at depth d: effective resistance sum(2^-k, k=1..d),
-    # cap({root}) = (1/2) / R_d
-    for depth in (1, 2, 3, 4):
-        spec, _ = _binary_tree_spec(depth)
-        R = sum(2.0**-k for k in range(1, depth + 1))
-        res = capacity(spec, {"root"}, np.ones(spec.space.n), cross_check=False)
-        assert res.value == pytest.approx(0.5 / R, abs=1e-8)
+    # leaves at depth k on the boundary: the drop across each of the 2^j
+    # edges of level j is proportional to 2^(-j/(p-1)), which gives
+    # cap({root}) = (1/p) S^(1-p) with S = sum(2^(-j/(p-1)), j=1..k); at
+    # p = 2, S is the effective resistance
+    for p, depth in itertools.product((1.5, 2.0, 3.0), (1, 2, 3, 4, 10)):
+        S = sum(2.0 ** (-j / (p - 1.0)) for j in range(1, depth + 1))
+        cap = _cap_of(tree_spec(2, depth, p), "0")
+        assert cap == pytest.approx(S ** (1.0 - p) / p, rel=1e-10), (p, depth)
 
 
 def test_exhaustion_profile_decays():
@@ -400,3 +392,43 @@ def test_exhaustion_profile_decays():
     values = [v for _, v in profile]
     assert all(b < a for a, b in zip(values, values[1:]))
     assert values[-1] == pytest.approx(1.0 / 32.0, abs=1e-8)
+
+
+# R = 1000 at p = 3 is left out: from the flat start it takes 1006 Newton
+# iterations (2-7 s), against at most 106 for each cell here
+@pytest.mark.parametrize("p, R", [(1.5, 100), (1.5, 1000), (2.0, 100), (2.0, 1000), (3.0, 100)])
+def test_z1_box_capacity_closed_form(p, R):
+    # R edges on either side of the origin, each dropping 1/R
+    assert _cap_of(box_spec(1, R, p), "0") == pytest.approx(2.0 / p * R ** (1.0 - p), rel=1e-10)
+
+
+def _z2_profile(p):
+    family = [(R, box_spec(2, R, p), {"0,0"}) for R in (5, 10, 20)]
+    return [value for _, value in exhaustion_capacity_profile(family)]
+
+
+def test_z2_exhaustion_is_subcritical_below_p_2():
+    # measured 2.3701, 2.3417, 2.3279: each drop is under half the one
+    # before, so if the drops keep halving the values stay above the last
+    # value minus the last drop
+    v = _z2_profile(1.5)
+    drops = [a - b for a, b in zip(v, v[1:])]
+    assert 0 < drops[1] < 0.5 * drops[0]
+    assert v[-1] - drops[1] > 2.3
+
+
+def test_z2_exhaustion_at_p_2_decays_by_the_logarithmic_law():
+    # measured 0.9526, 0.7865, 0.6701: 1 / cap = 2 R_eff grows by ln(2) / pi
+    # per doubling of R, within 0.5 %
+    v = _z2_profile(2.0)
+    assert v[0] > v[1] > v[2] > 0
+    for a, b in zip(v, v[1:]):
+        assert 1.0 / b - 1.0 / a == pytest.approx(math.log(2.0) / math.pi, rel=0.01)
+
+
+def test_z2_exhaustion_above_p_2_slope_approaches_2_minus_p():
+    # measured log2 ratios -1.174 and -1.113 against 2 - p = -1
+    v = _z2_profile(3.0)
+    gaps = [abs(math.log2(b / a) - (2.0 - 3.0)) for a, b in zip(v, v[1:])]
+    assert gaps[1] < gaps[0] < 0.2
+    assert gaps[1] < 0.12

@@ -593,7 +593,7 @@ def test_green_on_nonneg_decides_free_components_and_solves_the_rest(charge):
     }
     spec = disjoint_union({"F": random_connected_spec(4, seed=30), **parts})
     coercive = disjoint_union(parts)
-    assert len(spec.free_components) == 1 and len(spec.components) == 3
+    assert len(spec.free_components) == 1 and len(spec.inner_components) == 3
     free = spec.free_components[0]
     rest = np.setdiff1d(np.arange(spec.space.n), free)
     f = np.random.default_rng(33).uniform(0.1, 1.0, size=spec.space.n)
