@@ -1,13 +1,15 @@
 """Convex graph energies with variable exponents, killing and Dirichlet boundary.
 
-The energy of a field f is
+The energy of a field f is one sum over terms (u, v, w, p) with mass m,
 
-    E(f) = sum_e (w_e / p_e) |f(u_e) - f(v_e)|^{p_e}
-         + sum_k (kappa_k / q_k) mu_x |f(x_k)|^{q_k}
+    E(f) = sum_t m_t (w_t / p_t) |f(u_t) - f(v_t)|^{p_t},
 
-extended by +inf whenever f is nonzero on the Dirichlet boundary.  All
-exponents live in (1, inf), which keeps the functional differentiable and
-proximal solutions unique.
+extended by +inf whenever f is nonzero on the Dirichlet boundary.  An edge
+is a term with m = 1; a kill term (kappa / q) mu_x |f(x)|^q is the term
+(x, n, kappa, q) with m = mu_x, an edge to one grounded point n held at 0
+like the boundary (Keller, Lenz & Wojciechowski, Graphs and Discrete
+Dirichlet Spaces, 2021).  All exponents live in (1, inf), which keeps the
+functional differentiable and proximal solutions unique.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ SCALAR_TOL = 1e-12  # of the relative violations in ``fuzz_scalar_inequalities``
 # ROADMAP.md, item 4).
 _WIDE_BANDWIDTH = 2.0
 
+_CURVATURE_CAP = 1e12  # exponents below 2 have unbounded curvature at zero
+
 
 @dataclass(frozen=True)
 class Edge:
@@ -70,12 +74,10 @@ class HessianPattern:
     rows: np.ndarray
     cols: np.ndarray
 
-    def fill(self, edge_values, kill_values, diagonal) -> np.ndarray:
-        """Values at the distinct positions, for curvatures ``edge_values``
-        per edge and ``kill_values`` per kill term plus ``diagonal``."""
-        raw = np.concatenate(
-            (edge_values, edge_values, -edge_values, -edge_values, kill_values, diagonal)
-        )
+    def fill(self, values, diagonal) -> np.ndarray:
+        """Values at the distinct positions, for curvatures ``values`` per
+        term (as ``_curvatures`` gives them) plus ``diagonal``."""
+        raw = np.concatenate((values, values, -values, -values, diagonal))
         return np.bincount(self.slot, weights=raw, minlength=len(self.rows) + 1)[:-1]
 
 
@@ -126,11 +128,16 @@ class EnergySpec:
             bad = np.flatnonzero(~ok)
             if len(bad):
                 raise error(f"{where} {bad[0]}: {message}")
-        boundary_mask = np.zeros(self.space.n, dtype=bool)
-        boundary_mask[bi] = True
-        object.__setattr__(self, "_edge_arrays", (eu, ev, ew, ep))
-        object.__setattr__(self, "_kill_arrays", (ki, kk, kq))
-        object.__setattr__(self, "boundary_mask", boundary_mask)
+        # the term table (u, v, w, p, m): the edges, then each kill term as an
+        # edge to the grounded point n; m apart from w, as kappa mu_x may overflow
+        n = self.space.n
+        columns = ((eu, ki), (ev, np.full(len(ki), n)), (ew, kk), (ep, kq),
+                   (np.ones(len(ew)), self.space.mu[ki]))
+        object.__setattr__(self, "_terms", tuple(np.concatenate(c) for c in columns))
+        held = np.zeros(n + 1, dtype=bool)  # the boundary and the grounded point
+        held[np.append(bi, n)] = True
+        object.__setattr__(self, "_held", held)
+        object.__setattr__(self, "boundary_mask", held[:n])
 
     @cached_property
     def free_mask(self) -> np.ndarray:
@@ -138,25 +145,24 @@ class EnergySpec:
 
     @cached_property
     def max_exponent(self) -> float:
-        exponents = np.concatenate((self._edge_arrays[3], self._kill_arrays[2]))
-        return float(exponents.max()) if len(exponents) else 2.0
+        p = self._terms[3]
+        return float(p.max()) if len(p) else 2.0
 
     @cached_property
     def min_exponent(self) -> float:
-        exponents = np.concatenate((self._edge_arrays[3], self._kill_arrays[2]))
-        return float(exponents.min()) if len(exponents) else 2.0
+        p = self._terms[3]
+        return float(p.min()) if len(p) else 2.0
 
     @cached_property
     def _hessian_pattern(self) -> HessianPattern:
-        free = self.free_mask
+        free = ~self._held
         m = int(np.count_nonzero(free))
         local = np.cumsum(free) - 1
-        eu, ev, _, _ = self._edge_arrays
-        ki = self._kill_arrays[0]
+        u, v = self._terms[:2]
         diag = np.arange(self.space.n)
         # raw entries in ``HessianPattern.fill`` order
-        rows = np.concatenate((eu, ev, eu, ev, ki, diag))
-        cols = np.concatenate((eu, ev, ev, eu, ki, diag))
+        rows = np.concatenate((u, v, u, v, diag))
+        cols = np.concatenate((u, v, v, u, diag))
         inner = free[rows] & free[cols]
         keys, inner_slot = np.unique(
             local[cols[inner]] * m + local[rows[inner]], return_inverse=True
@@ -181,16 +187,17 @@ class EnergySpec:
     def inner_components(self) -> list[np.ndarray]:
         """Components of the graph on the points off the Dirichlet boundary.
 
-        Edges into the boundary are inert, since feasible fields vanish
-        there.  Each component is a sorted index array; components come in
-        order of their smallest index.  The invariant sets are exactly the
-        unions of these components.
+        Terms into a held point (the boundary or the grounded point) are
+        inert, since feasible fields vanish there.  Each component is a
+        sorted index array; components come in order of their smallest
+        index.  The invariant sets are exactly the unions of these
+        components.
         """
-        free = self.free_mask
-        eu, ev, _, _ = self._edge_arrays
-        inner = free[eu] & free[ev]
+        free = ~self._held
+        u, v = self._terms[:2]
+        inner = free[u] & free[v]
         n = self.space.n
-        graph = sparse.coo_array((np.ones(np.count_nonzero(inner)), (eu[inner], ev[inner])),
+        graph = sparse.coo_array((np.ones(np.count_nonzero(inner)), (u[inner], v[inner])),
                                  shape=(n, n))
         _, labels = csgraph.connected_components(graph, directed=False)
         members = np.argsort(labels, kind="stable")
@@ -201,17 +208,16 @@ class EnergySpec:
 
     @cached_property
     def free_components(self) -> list[np.ndarray]:
-        """Inner components with no positive kill and no edge into the
-        boundary: the components of the whole graph that touch neither.
+        """Inner components with no positive-weight term into a held point:
+        no positive kill and no edge into the boundary.
 
         Indicators of these components span the kernel of the energy: they
         are exactly the directions along which E vanishes at every scale.
         """
-        eu, ev, _, _ = self._edge_arrays
-        ki, kk, _ = self._kill_arrays
-        cross = self.boundary_mask[eu] != self.boundary_mask[ev]
-        tied = np.zeros(self.space.n, dtype=bool)
-        tied[np.concatenate((ki[kk > 0], eu[cross], ev[cross]))] = True
+        u, v, w = self._terms[:3]
+        cross = (self._held[u] != self._held[v]) & (w > 0)
+        tied = np.zeros(self.space.n + 1, dtype=bool)
+        tied[np.concatenate((u[cross], v[cross]))] = True
         return [c for c in self.inner_components if not tied[c].any()]
 
     # -- feasibility: exactly zero on the boundary --------------------------
@@ -236,12 +242,18 @@ def _phi(t, p):
     return np.sign(t) * np.abs(t) ** (p - 1.0)
 
 
-def _term_sum(spec: EnergySpec, d, k) -> float:
-    """E of a field with edge differences ``d`` and killed values ``k``."""
-    _, _, ew, ep = spec._edge_arrays
-    ki, kk, kq = spec._kill_arrays
-    edges = float(np.sum(ew / ep * np.abs(d) ** ep))
-    return edges + float(np.sum(kk / kq * spec.space.mu[ki] * np.abs(k) ** kq))
+def _differences(spec: EnergySpec, f) -> np.ndarray:
+    """The term differences f(u_t) - f(v_t), with f held at 0 on the
+    grounded point."""
+    u, v = spec._terms[:2]
+    f = np.append(f, 0.0)
+    return f[u] - f[v]
+
+
+def _term_sum(spec: EnergySpec, d) -> float:
+    """E of a field with term differences ``d``."""
+    _, _, w, p, m = spec._terms
+    return float(np.sum(w / p * m * np.abs(d) ** p))
 
 
 def energy(spec: EnergySpec, f) -> float:
@@ -249,8 +261,7 @@ def energy(spec: EnergySpec, f) -> float:
     f = spec.space.check_field(f)
     if f[spec.boundary_mask].any():
         return math.inf
-    eu, ev, _, _ = spec._edge_arrays
-    return _term_sum(spec, f[eu] - f[ev], f[spec._kill_arrays[0]])
+    return _term_sum(spec, _differences(spec, f))
 
 
 def energy_gradient(spec: EnergySpec, f) -> np.ndarray:
@@ -263,16 +274,25 @@ def energy_gradient(spec: EnergySpec, f) -> np.ndarray:
 
 def _gradient(spec: EnergySpec, f) -> np.ndarray:
     """``energy_gradient`` of a checked, feasible f."""
-    g = np.zeros(spec.space.n)
-    eu, ev, ew, ep = spec._edge_arrays
-    t = ew * _phi(f[eu] - f[ev], ep)
-    np.add.at(g, eu, t)
-    np.add.at(g, ev, -t)
-    g /= spec.space.mu
-    ki, kk, kq = spec._kill_arrays
-    np.add.at(g, ki, kk * _phi(f[ki], kq))
+    u, v, w, p, m = spec._terms
+    t = m * w * _phi(_differences(spec, f), p)
+    g = np.zeros(spec.space.n + 1)
+    np.add.at(g, u, t)
+    np.add.at(g, v, -t)
+    g = g[:-1] / spec.space.mu
     g[spec.boundary_mask] = 0.0
     return g
+
+
+def _curvatures(spec: EnergySpec, g) -> np.ndarray:
+    """Second derivatives of the terms at g, one per term, capped at
+    ``_CURVATURE_CAP``: at exponents below 2 they blow up where a term
+    difference vanishes."""
+    _, _, w, p, m = spec._terms
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = w * (p - 1.0) * m * np.abs(_differences(spec, g)) ** (p - 2.0)
+    # fmin also maps the nan of a zero weight times an infinite power to the cap
+    return np.fmin(c, _CURVATURE_CAP)
 
 
 def perturb(spec: EnergySpec, w) -> EnergySpec:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import INEQ_TOL, EnergySpec, _term_sum, energy, energy_gradient
+from .energy import INEQ_TOL, EnergySpec, _differences, _term_sum, energy, energy_gradient
 from .errors import InternalCheckError, ParameterError
 from .resolvent import ProxConfig, _require_converged, _solve_shifted, prox
 
@@ -94,15 +94,14 @@ def _luxemburg(spec: EnergySpec, f, r: float) -> float:
         return math.inf
     if _in_kernel(spec, f):
         return 0.0
-    eu, ev, _, _ = spec._edge_arrays
-    ki, kk, _ = spec._kill_arrays
-    # the term bases are taken from f once: E(f / lambda) scales them, so an
-    # offset of f cannot cancel digits of its differences
-    d, k = f[eu] - f[ev], f[ki]
-    # ||f|| = s ||f / s||: the largest term base of E(f / s) is 1, so it cannot underflow
-    s = float(np.max(np.abs(np.concatenate((d, k[kk > 0])))))
-    d, k = d / s, k / s
-    return s * _scale_root(lambda t: _term_sum(spec, d / t, k / t) / r, _term_sum(spec, d, k) / r,
+    # the term differences are taken from f once: E(f / lambda) scales them,
+    # so an offset of f cannot cancel their digits.  ||f|| = s ||f / s||: the
+    # largest difference of f / s is 1, so E cannot underflow where a term of
+    # positive weight carries it
+    d = _differences(spec, f)
+    s = float(np.max(np.abs(d)))
+    d = d / s
+    return s * _scale_root(lambda t: _term_sum(spec, d / t) / r, _term_sum(spec, d) / r,
                            (spec.min_exponent, spec.max_exponent), 1e-15)
 
 

@@ -39,7 +39,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
-from .energy import EnergySpec, _gradient, _term_sum, perturb
+from .energy import (_CURVATURE_CAP, EnergySpec, _curvatures, _differences, _gradient, _term_sum,
+                     perturb)
 from .errors import (
     InconclusiveError,
     InfeasibleError,
@@ -76,8 +77,6 @@ _SHRINK = 0.5
 _ARMIJO = 1e-4
 _EPS = np.finfo(float).eps
 
-_CURVATURE_CAP = 1e12  # exponents below 2 have unbounded curvature at zero
-
 # Free points from which a Newton direction is found by a sparse solve (LU
 # or CG) instead of a dense one.  Measured on paths, grids and random sparse graphs with one
 # BLAS thread: the dense solve is faster up to 100-300 points depending on
@@ -101,21 +100,6 @@ _BOUND_TOL = 1e-12
 MARKOV_TOL = 1e-7  # of the margins of ``markov_property_checks``
 
 
-def _curvatures(spec: EnergySpec, g) -> tuple[np.ndarray, np.ndarray]:
-    """Second derivatives of the edge terms and of the kill terms at g.
-
-    Capped: for exponents below 2 they blow up where an edge difference
-    (or a killed value) vanishes.
-    """
-    eu, ev, ew, ep = spec._edge_arrays
-    ki, kk, kq = spec._kill_arrays
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ce = ew * (ep - 1.0) * np.abs(g[eu] - g[ev]) ** (ep - 2.0)
-        ck = kk * (kq - 1.0) * spec.space.mu[ki] * np.abs(g[ki]) ** (kq - 2.0)
-    # fmin also maps the nan of a zero kappa times an infinite power to the cap
-    return np.fmin(ce, _CURVATURE_CAP), np.fmin(ck, _CURVATURE_CAP)
-
-
 def energy_hessian(spec: EnergySpec, g, alpha: float = 0.0) -> np.ndarray:
     """Euclidean Hessian of E(g) + (alpha/2)||g - c||^2_mu (dense).
 
@@ -123,18 +107,16 @@ def energy_hessian(spec: EnergySpec, g, alpha: float = 0.0) -> np.ndarray:
     form is the reference for tests.
     """
     n = spec.space.n
-    H = np.zeros((n, n))
-    eu, ev, _, _ = spec._edge_arrays
-    ki = spec._kill_arrays[0]
-    ce, ck = _curvatures(spec, g)
-    np.add.at(H, (eu, eu), ce)
-    np.add.at(H, (ev, ev), ce)
-    np.add.at(H, (eu, ev), -ce)
-    np.add.at(H, (ev, eu), -ce)
-    np.add.at(H, (ki, ki), ck)
+    H = np.zeros((n + 1, n + 1))
+    u, v = spec._terms[:2]
+    c = _curvatures(spec, g)
+    np.add.at(H, (u, u), c)
+    np.add.at(H, (v, v), c)
+    np.add.at(H, (u, v), -c)
+    np.add.at(H, (v, u), -c)
     if alpha:
         H[np.diag_indices(n)] += alpha * spec.space.mu
-    return H
+    return H[:n, :n]  # without the grounded point
 
 
 def _newton_direction(spec: EnergySpec, g, alpha: float, free, rhs, tally=None):
@@ -153,8 +135,8 @@ def _newton_direction(spec: EnergySpec, g, alpha: float, free, rhs, tally=None):
     if tally is None:
         tally = dict.fromkeys(_LINEAR_TALLY, 0)
     pattern = spec._hessian_pattern
-    ce, ck = _curvatures(spec, g)
-    data = pattern.fill(ce, ck, alpha * spec.space.mu)
+    c = _curvatures(spec, g)
+    data = pattern.fill(c, alpha * spec.space.mu)
     rows, cols = pattern.rows, pattern.cols
     inside = free[spec.free_mask]
     m = int(np.count_nonzero(inside))
@@ -174,7 +156,7 @@ def _newton_direction(spec: EnergySpec, g, alpha: float, free, rhs, tally=None):
         return delta
     indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=m))))
     A = sparse.csc_array((data, rows, indptr), shape=(m, m))
-    capped = max(ce.max(initial=0.0), ck.max(initial=0.0)) >= _CURVATURE_CAP
+    capped = c.max(initial=0.0) >= _CURVATURE_CAP
     diagonal = A.diagonal()
     # CG stalls at a capped curvature, and a zero diagonal entry is a zero
     # row: a singular block, for the LU to report
@@ -230,8 +212,6 @@ def _solve_shifted(
     if np.any(lo > hi):
         raise InfeasibleError("constraint box is empty on the boundary")
     lo_in, hi_in = lo + _BOUND_TOL, hi - _BOUND_TOL
-    eu, ev, _, _ = spec._edge_arrays
-    ki = spec._kill_arrays[0]
     # with no bound off the boundary, projection and clipping change nothing
     free_mask = spec.free_mask
     boxed = bool(np.isfinite(lo[free_mask]).any() or np.isfinite(hi[free_mask]).any())
@@ -251,7 +231,7 @@ def _solve_shifted(
 
     def objective(g):
         shift_terms = float(np.sum(mu * g * (0.5 * alpha * g - f)))
-        return _term_sum(spec, g[eu] - g[ev], g[ki]) + shift_terms
+        return _term_sum(spec, _differences(spec, g)) + shift_terms
 
     def descend(g, r, delta):
         # Armijo on the objective along delta, whose slope is <mu r, step>;

@@ -192,6 +192,20 @@ def disjoint_union(parts: dict[str, EnergySpec]) -> EnergySpec:
     return EnergySpec(space, tuple(edges), tuple(kill), frozenset(boundary))
 
 
+def grounded_twin(spec: EnergySpec) -> EnergySpec:
+    """The spec with each kill term (kappa / q) mu_x |f(x)|^q rewritten as an
+    edge x - "ground" of weight kappa mu_x and exponent q, where "ground" is
+    one fresh boundary point of unit measure, the last point of the space.
+    Terms with kappa = 0 are dropped, since an edge weight must be positive."""
+    space = spec.space
+    mu = dict(zip(space.points, space.mu.tolist()))
+    grounded = tuple(
+        Edge(k.point, "ground", k.kappa * mu[k.point], k.exponent) for k in spec.kill if k.kappa > 0
+    )
+    twin_space = MeasureSpace(space.points + ("ground",), np.append(space.mu, 1.0))
+    return EnergySpec(twin_space, spec.edges + grounded, (), spec.boundary | {"ground"})
+
+
 # -- quadratic oracles (independent of the iterative solvers) --------------
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,17 +11,25 @@ from dirichletforms import (
     MeasureSpace,
     NormalContraction,
     ParameterError,
+    ProxConfig,
     StructuralError,
     bd1_check,
     bd2_check,
+    capacity,
     contraction_battery,
     energy,
     energy_gradient,
     fuzz_scalar_inequalities,
+    luxemburg_norm,
     perturb,
+    prox,
 )
+from dirichletforms.resolvent import energy_hessian
 from conftest import (
     central_difference_gradient,
+    grid_spec,
+    grounded_twin,
+    path_spec,
     random_connected_spec,
     single_vertex_spec,
     sparse_random_spec,
@@ -240,3 +249,84 @@ def test_fuzz_scalar_inequalities():
     assert ok, worst
     with pytest.raises(ParameterError):
         fuzz_scalar_inequalities(0)
+
+
+def _with_inert_and_boundary_kills(spec: EnergySpec, q) -> EnergySpec:
+    """``spec`` with a kill term on its first boundary point (if any), one with
+    kappa = 0 and one with kappa > 0 at free points; exponents from ``q``."""
+    points = spec.space.points
+    free = [points[i] for i in np.flatnonzero(spec.free_mask)]
+    extra = [KillTerm(free[0], 0.0, q[0]), KillTerm(free[-1], 0.7, q[1])]
+    extra += [KillTerm(p, 1.3, q[2]) for p in sorted(spec.boundary)[:1]]
+    return EnergySpec(spec.space, spec.edges, spec.kill + tuple(extra), spec.boundary)
+
+
+def _twin_cases():
+    for p in (1.5, 2.0, 3.0, "mixed"):
+        one = 2.0 if p == "mixed" else p
+        q = (1.5, 3.0, 2.5) if p == "mixed" else (p, p, p)
+        p_range = (1.5, 3.0) if p == "mixed" else (p, p)
+        yield pytest.param(path_spec(7, one), q, id=f"path-{p}")
+        yield pytest.param(grid_spec(4, 3, one, n_kill=2, n_boundary=2), q, id=f"grid-{p}")
+        yield pytest.param(
+            random_connected_spec(12, 5, p_range, n_kill=3, n_boundary=2), q, id=f"random-{p}"
+        )
+
+
+@pytest.mark.parametrize("base, q", list(_twin_cases()))
+def test_kill_terms_are_edges_to_a_grounded_point(base, q):
+    # E, its derivatives, its kernel and every solve on it are those of the
+    # twin, where each kill term is an edge of weight kappa mu_x to one
+    # fresh boundary point
+    spec = _with_inert_and_boundary_kills(base, q)
+    twin = grounded_twin(spec)
+    n = spec.space.n
+    free = spec.free_mask
+    f = spec.project_feasible(np.random.default_rng(7).normal(size=n))
+    ft = np.append(f, 0.0)
+
+    def same(a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * float(np.max(np.abs(b))))
+
+    same(energy(spec, f), energy(twin, ft))
+    same(energy_gradient(spec, f), energy_gradient(twin, ft)[:n])
+    block = np.ix_(free, free)
+    same(energy_hessian(spec, f)[block], energy_hessian(twin, ft)[:n, :n][block])
+    assert [c.tolist() for c in spec.free_components] == [c.tolist() for c in twin.free_components]
+    same(luxemburg_norm(spec, f), luxemburg_norm(twin, ft))
+    # solved past the default residual, which bounds the error only by 1e-9
+    cfg = ProxConfig(residual_tolerance=1e-13)
+    same(prox(spec, 1.0, f, cfg)[0], prox(twin, 1.0, ft, cfg)[0][:n])
+    x = spec.space.points[int(np.flatnonzero(free)[0])]
+    same(capacity(spec, {x}, np.ones(n)).value, capacity(twin, {x}, np.ones(n + 1)).value)
+
+
+def test_a_kill_term_whose_kappa_mu_overflows_builds_and_evaluates():
+    # kappa mu_x is past the largest float, kappa / 2 mu_x is not
+    space = MeasureSpace(("a", "b"), np.array([1e16, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kill = (KillTerm("a", 1.7976931348623159e292, 2.0),)
+        spec = EnergySpec(space, (Edge("a", "b", 1.0, 2.0),), kill)
+        assert energy(spec, np.zeros(2)) == 0.0
+        assert energy(spec, np.array([1.0, 0.0])) == 8.98846567431158e307
+
+
+@pytest.mark.parametrize("extra, boundary", [
+    # kappa = 0 sets the exponent range but ties no component
+    (KillTerm("a", 0.0, 1.5), frozenset()),
+    # a kill term on a boundary point is inert
+    (KillTerm("e", 2.0, 3.0), frozenset({"e"})),
+])
+def test_inert_kill_terms_change_no_energy_and_no_component(extra, boundary):
+    space = MeasureSpace(("a", "b", "c", "d", "e"), np.array([1.0, 2.0, 0.5, 1.5, 1.0]))
+    edges = (Edge("a", "b", 1.0, 2.0), Edge("c", "d", 1.0, 2.0), Edge("d", "e", 1.0, 2.0))
+    kill = (KillTerm("c", 1.0, 2.0),)
+    base = EnergySpec(space, edges, kill, boundary)
+    spec = EnergySpec(space, edges, kill + (extra,), boundary)
+    f = spec.project_feasible(np.array([0.3, -1.2, 0.8, 2.0, -0.4]))
+    assert energy(spec, f) == pytest.approx(energy(base, f), rel=1e-15)
+    assert [c.tolist() for c in spec.free_components] == [c.tolist() for c in base.free_components]
+    assert [c.tolist() for c in spec.free_components] == [[0, 1]]
+    assert spec.min_exponent == min(2.0, extra.exponent)

@@ -416,6 +416,24 @@ def test_the_report_tallies_the_linear_solves(kind, n, solver):
     assert linear["cg_fallbacks"] == 0
 
 
+@pytest.mark.parametrize(
+    "make, budget",
+    [
+        (lambda: grid_spec(24, 7, 1.5, n_kill=3, n_boundary=2), 32),
+        (lambda: random_connected_spec(300, 4, (1.5, 3.0), n_kill=5, n_boundary=1), 19),
+        (lambda: random_connected_spec(900, 3, (3.0, 3.0), n_kill=3, n_boundary=2), 6),
+    ],
+    ids=["grid24-p1.5", "random300-mixed", "random900-p3"],
+)
+def test_kill_bearing_solves_keep_their_iteration_counts(make, budget):
+    # the measured Newton iteration counts of these kill-bearing solves; a
+    # rise is the stall that a change to the energy kernels can bring
+    spec = make()
+    f = spec.project_feasible(np.random.default_rng(1).normal(size=spec.space.n))
+    _, report = prox(spec, 1.0, f)
+    assert report.iterations <= budget, report.extras["linear"]
+
+
 @pytest.mark.parametrize("kind", ["path", "random"])
 def test_prox_at_2000_points_matches_linear_oracle(kind):
     if kind == "path":
