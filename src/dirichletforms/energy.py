@@ -15,8 +15,10 @@ functional differentiable and proximal solutions unique.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 from scipy import sparse
@@ -81,41 +83,44 @@ class HessianPattern:
         return np.bincount(self.slot, weights=raw, minlength=len(self.rows) + 1)[:-1]
 
 
-def _lookup(index: dict, names: list, where) -> np.ndarray:
-    """The indices of ``names``; the first unknown name is a StructuralError
-    that ``where(position)`` places."""
-    idx = np.array([index.get(p, -1) for p in names], dtype=int)
-    bad = np.flatnonzero(idx < 0)
+def _lookup(index: dict, columns, where) -> list[np.ndarray]:
+    """The indices of the names in each of ``columns``; the first unknown name,
+    by record and then by column, is a StructuralError that ``where(record)``
+    places."""
+    idx = [np.fromiter(map(index.get, c, repeat(-1)), dtype=int, count=len(c)) for c in columns]
+    bad = np.flatnonzero(np.any([i < 0 for i in idx], axis=0))
     if len(bad):
-        raise StructuralError(f"{where(bad[0])} unknown point {names[bad[0]]!r}")
+        name = next(c[bad[0]] for c, i in zip(columns, idx) if i[bad[0]] < 0)
+        raise StructuralError(f"{where(bad[0])} unknown point {name!r}")
     return idx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class EnergySpec:
-    """Immutable description of a graph energy functional."""
+    """Immutable graph energy: one term table, of which ``edges`` and ``kill`` are views."""
 
     space: MeasureSpace
-    edges: tuple[Edge, ...] = ()
-    kill: tuple[KillTerm, ...] = ()
-    boundary: frozenset[str] = frozenset()
+    boundary: frozenset[str]
 
-    def __post_init__(self):
-        """Check every value once, as array tests over the term arrays; the
-        first bad record is named by its index (``edge 2: ...``)."""
-        object.__setattr__(self, "edges", tuple(self.edges))
-        object.__setattr__(self, "kill", tuple(self.kill))
-        object.__setattr__(self, "boundary", frozenset(self.boundary))
-        index = self.space._index
-        # both endpoints in one pass, so that the first bad edge is named
-        ends = [p for e in self.edges for p in (e.u, e.v)]
-        eu, ev = _lookup(index, ends, lambda j: f"edge {j // 2}:").reshape(-1, 2).T.copy()
-        ki = _lookup(index, [k.point for k in self.kill], lambda i: f"kill {i}:")
-        bi = _lookup(index, sorted(self.boundary, key=repr), lambda _: "boundary names")
-        ew = np.array([e.weight for e in self.edges], dtype=float)
-        ep = np.array([e.exponent for e in self.edges], dtype=float)
-        kk = np.array([k.kappa for k in self.kill], dtype=float)
-        kq = np.array([k.exponent for k in self.kill], dtype=float)
+    def __init__(self, space: MeasureSpace, edges=(), kill=(), boundary=frozenset()):
+        """The spec of ``Edge`` and ``KillTerm`` records: ``from_columns`` of their columns."""
+        edges, kill = tuple(edges), tuple(kill)
+        spec = EnergySpec.from_columns(
+            space, [list(map(attrgetter(k), edges)) for k in ("u", "v", "weight", "exponent")],
+            [list(map(attrgetter(k), kill)) for k in ("point", "kappa", "exponent")], boundary)
+        vars(self).update(vars(spec))
+
+    @classmethod
+    def from_columns(cls, space: MeasureSpace, edges, kill, boundary=frozenset()):
+        """The spec of the columns ``edges = (u, v, weight, exponent)`` and ``kill =
+        (point, kappa, exponent)`` of point names and numbers.  Every value is checked
+        once, by array tests over the columns that name the first bad record by its
+        index (``edge 2: ...``)."""
+        boundary, index = frozenset(boundary), space._index
+        eu, ev = _lookup(index, edges[:2], lambda i: f"edge {i}:")
+        ki, = _lookup(index, kill[:1], lambda i: f"kill {i}:")
+        bi, = _lookup(index, [sorted(boundary, key=repr)], lambda _: "boundary names")
+        ew, ep, kk, kq = (np.array(c, dtype=float) for c in (*edges[2:], *kill[1:]))
         for error, where, ok, message in (
             (StructuralError, "edge", eu != ev, "self-loops are not allowed"),
             (ParameterError, "edge", (0 < ew) & (ew < np.inf), "weight must be > 0 and finite"),
@@ -130,14 +135,31 @@ class EnergySpec:
                 raise error(f"{where} {bad[0]}: {message}")
         # the term table (u, v, w, p, m): the edges, then each kill term as an
         # edge to the grounded point n; m apart from w, as kappa mu_x may overflow
-        n = self.space.n
-        columns = ((eu, ki), (ev, np.full(len(ki), n)), (ew, kk), (ep, kq),
-                   (np.ones(len(ew)), self.space.mu[ki]))
-        object.__setattr__(self, "_terms", tuple(np.concatenate(c) for c in columns))
-        held = np.zeros(n + 1, dtype=bool)  # the boundary and the grounded point
-        held[np.append(bi, n)] = True
-        object.__setattr__(self, "_held", held)
-        object.__setattr__(self, "boundary_mask", held[:n])
+        columns = ((eu, ki), (ev, np.full(len(ki), space.n)), (ew, kk), (ep, kq),
+                   (np.ones(len(ew)), space.mu[ki]))
+        held = np.zeros(space.n + 1, dtype=bool)  # the boundary and the grounded point
+        held[np.append(bi, space.n)] = True
+        return cls._of_table(space, tuple(map(np.concatenate, columns)), len(ew), boundary, held)
+
+    @classmethod
+    def _of_table(cls, space, terms, edge_count, boundary, held):
+        """The spec of a checked term table whose first ``edge_count`` rows are edges."""
+        spec = object.__new__(cls)
+        vars(spec).update(space=space, boundary=boundary, _terms=terms, _edge_count=edge_count,
+                          _held=held, boundary_mask=held[:space.n])
+        return spec
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        points, k = self.space.points, self._edge_count
+        u, v, w, p = (c[:k].tolist() for c in self._terms[:4])
+        return tuple(map(Edge, map(points.__getitem__, u), map(points.__getitem__, v), w, p))
+
+    @cached_property
+    def kill(self) -> tuple[KillTerm, ...]:
+        points, k = self.space.points, self._edge_count
+        x, w, p = (self._terms[i][k:].tolist() for i in (0, 2, 3))
+        return tuple(map(KillTerm, map(points.__getitem__, x), w, p))
 
     @cached_property
     def free_mask(self) -> np.ndarray:
@@ -291,21 +313,20 @@ def _curvatures(spec: EnergySpec, g) -> np.ndarray:
     _, _, w, p, m = spec._terms
     with np.errstate(divide="ignore", invalid="ignore"):
         c = w * (p - 1.0) * m * np.abs(_differences(spec, g)) ** (p - 2.0)
-    # fmin also maps the nan of a zero weight times an infinite power to the cap
+    c[w == 0] = 0.0  # a weight-0 term has none: not the nan of 0 times inf
     return np.fmin(c, _CURVATURE_CAP)
 
 
 def perturb(spec: EnergySpec, w) -> EnergySpec:
-    """Energy E_w = E + (1/2) int |f|^2 w dmu, realized as quadratic kill terms."""
+    """Energy E_w = E + (1/2) int |f|^2 w dmu: the row (x, n, w_x, 2, mu_x)
+    appended to the term table for each w_x > 0, as a kill term."""
     w = spec.space.check_field(w)
     if np.any(w < 0):
         raise ParameterError("perturbation weight must be >= 0")
-    extra = tuple(
-        KillTerm(spec.space.points[i], float(w[i]), 2.0)
-        for i in range(spec.space.n)
-        if w[i] > 0
-    )
-    return EnergySpec(spec.space, spec.edges, spec.kill + extra, spec.boundary)
+    x = np.flatnonzero(w)
+    rows = (x, np.full(len(x), spec.space.n), w[x], np.full(len(x), 2.0), spec.space.mu[x])
+    return EnergySpec._of_table(spec.space, tuple(map(np.concatenate, zip(spec._terms, rows))),
+                                spec._edge_count, spec.boundary, spec._held)
 
 
 # -- normal contractions ---------------------------------------------------

@@ -97,8 +97,8 @@ def _luxemburg(spec: EnergySpec, f, r: float) -> float:
     # the term differences are taken from f once: E(f / lambda) scales them,
     # so an offset of f cannot cancel their digits.  ||f|| = s ||f / s||: the
     # largest difference of f / s is 1, so E cannot underflow where a term of
-    # positive weight carries it
-    d = _differences(spec, f)
+    # positive weight carries it; a weight-0 term carries none
+    d = np.where(spec._terms[2] > 0, _differences(spec, f), 0.0)
     s = float(np.max(np.abs(d)))
     d = d / s
     return s * _scale_root(lambda t: _term_sum(spec, d / t) / r, _term_sum(spec, d) / r,

@@ -15,11 +15,11 @@ Each invariant is checked once, by its owner.  ``parse_problem`` checks the
 JSON shape: section types, record keys (a key it does not read is an error),
 point names that are strings, numbers that are JSON numbers (a boolean or an
 int past the float range is not) and the types of ``defaults``.
-``MeasureSpace`` checks mu; ``EnergySpec`` looks up every point and checks
-self-loops, weights, exponents and kappas (the ``Infinity`` and ``NaN`` that
-Python's parser accepts fail these ranges); ``ProxConfig`` checks the ranges
-of ``defaults``.  ``parse_problem`` raises only StructuralError, naming the
-offending record.
+``MeasureSpace`` checks mu; ``EnergySpec.from_columns`` takes the columns,
+looks up every point and checks self-loops, weights, exponents and kappas
+(the ``Infinity`` and ``NaN`` that Python's parser accepts fail these
+ranges); ``ProxConfig`` checks the ranges of ``defaults``.  ``parse_problem``
+raises only StructuralError, naming the offending record.
 
 The records of ``edges`` and ``kill`` are read as one column per key, and
 each column is checked whole; only a column that fails is scanned record by
@@ -42,7 +42,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .energy import Edge, EnergySpec, KillTerm
+from .energy import EnergySpec
 from .errors import ParameterError, StructuralError
 from .space import MeasureSpace
 
@@ -66,9 +66,7 @@ class ProblemFile:
 
     def to_energy_spec(self) -> EnergySpec:
         space = MeasureSpace(tuple(self.points), np.array(self.mu, dtype=float))
-        edges = tuple(map(Edge, *self.edges))
-        kill = tuple(map(KillTerm, *self.kill))
-        return EnergySpec(space, edges, kill, frozenset(self.boundary))
+        return EnergySpec.from_columns(space, self.edges, self.kill, self.boundary)
 
 
 def _require(cond: bool, message: str):

@@ -9,6 +9,7 @@ from dirichletforms import (
     Edge,
     EnergySpec,
     InfeasibleError,
+    KillTerm,
     LuxemburgQuery,
     MeasureSpace,
     ParameterError,
@@ -150,6 +151,16 @@ def test_mixed_exponent_norm_on_a_large_offset():
         1e-8, 1e-3, xtol=1e-30, rtol=4 * np.finfo(float).eps,
     )
     assert luxemburg_norm(spec, f) == pytest.approx(want, rel=1e-12)
+
+
+def test_a_weight_0_kill_term_sets_no_norm_scale():
+    # the kill term's difference 1e6 is the largest, but it carries no
+    # energy: scaling by it would underflow E(f / s) to 0 at p = 40
+    base = path_spec(5, 40.0, dirichlet_right=False)
+    spec = EnergySpec(base.space, base.edges, (KillTerm("0", 0.0, 40.0),))
+    f = 1e6 + 1e-5 * np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+    assert luxemburg_norm(base, f) > 0.0
+    assert luxemburg_norm(spec, f) == luxemburg_norm(base, f)
 
 
 @pytest.mark.parametrize("seed", range(5))
