@@ -21,9 +21,6 @@ from .potential import equilibrium_potential
 from .resolvent import ProxConfig, green, perturb, prox
 from .space import weighted_lp_norm
 
-# a field whose Luxemburg norm is at most this counts as in the kernel
-_LUX_TOL = 1e-10
-
 HARDY_TOL = 1e-7  # of the bound in ``hardy_upper_check``, relative to max(1, RHS)
 K_TOL = 1e-6  # of the bounds on K in ``hardy_optimal_constant`` and ``hardy_from_green``
 SERIES_TOL = 1e-7  # of [0, 1] for the terms of ``synthesize_hardy_weight``
@@ -68,7 +65,7 @@ def _local_ascent_ratio(spec, w, f0, evals, rng):
     """Hill-climb the Hardy ratio int |f| w dmu / ||f||_L from f0."""
     def ratio(f):
         nl = _luxemburg(spec, f, 1.0)
-        if nl <= _LUX_TOL or math.isinf(nl):
+        if not 0.0 < nl < math.inf:  # on the kernel or off the feasible set
             return -math.inf
         return float(np.sum(spec.space.mu * np.abs(f) * w)) / nl
 
@@ -380,7 +377,7 @@ def _battery_profile(spec: EnergySpec, r_grid, search_budget, seed, terms):
     certs: list[np.ndarray | None] = [None] * len(r_grid)
     for f in battery:
         nl = _luxemburg(spec, f, 1.0)
-        if nl <= _LUX_TOL or math.isinf(nl):
+        if not 0.0 < nl < math.inf:  # on the kernel or off the feasible set
             continue
         num, penalty = terms(f)
         for i, r in enumerate(r_grid):

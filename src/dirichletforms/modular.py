@@ -5,9 +5,9 @@ functional of the sublevel set {E <= r}:
 
     ||f||_{L,r} = inf{ lambda > 0 : E(f / lambda) <= r }.
 
-On the graph family the kernel of the seminorm is known in closed form
-(constants on components without kill or boundary), so kernel membership is
-decided analytically.  Off it, E(f) and the exponent range alone bracket
+On the graph family the kernel of the seminorm is known exactly: the fields
+whose term differences of positive weight are all 0 (constants on components
+without kill or boundary).  Off it, E(f) and the exponent range alone bracket
 the seminorm (Musielak, Orlicz Spaces and Modular Spaces, LNM 1034, 1983).
 """
 
@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import INEQ_TOL, EnergySpec, _differences, _term_sum, energy, energy_gradient
+from .energy import INEQ_TOL, EnergySpec, _energy_differences, _term_sum, energy, energy_gradient
 from .errors import InternalCheckError, ParameterError
 from .resolvent import ProxConfig, _require_converged, _solve_shifted, prox
 
-KERNEL_TOL = 1e-12  # of ``in_kernel``, relative to max(1, max|f|)
 FAMILY_TOL = 1e-7  # of the laws in ``luxemburg_family_check``, relative to max(1, norm)
 # ``delta2_constant`` tries this many random fields, drawn from this seed
 DELTA2_FIELDS = 100
@@ -39,24 +38,10 @@ class LuxemburgQuery:
 
 
 def in_kernel(spec: EnergySpec, f) -> bool:
-    """Whether E(lambda f) = 0 for every lambda.
-
-    For the graph family this means: f vanishes outside the free components
-    and is constant on each of them, to ``KERNEL_TOL`` relative to
-    max(1, max|f|).
-    """
-    return _in_kernel(spec, spec.space.check_field(f))
-
-
-def _in_kernel(spec: EnergySpec, f) -> bool:
-    """``in_kernel`` of a checked f."""
-    scale = max(1.0, float(np.max(np.abs(f), initial=0.0)))
-    free = np.zeros(spec.space.n, dtype=bool)
-    for comp in spec.free_components:
-        free[comp] = True
-        if np.ptp(f[comp]) > KERNEL_TOL * scale:
-            return False
-    return bool(np.all(np.abs(f[~free]) <= KERNEL_TOL * scale))
+    """Whether E(lambda f) = 0 for every lambda: f is feasible and every term
+    difference of positive weight is exactly 0, at any scale of f."""
+    f = spec.space.check_field(f)
+    return not f[spec.boundary_mask].any() and not _energy_differences(spec, f).any()
 
 
 def _scale_root(modular, value: float, rates, rtol: float) -> float:
@@ -92,14 +77,15 @@ def _luxemburg(spec: EnergySpec, f, r: float) -> float:
     """``luxemburg_norm`` at level r of a checked f."""
     if f[spec.boundary_mask].any():
         return math.inf
-    if _in_kernel(spec, f):
-        return 0.0
     # the term differences are taken from f once: E(f / lambda) scales them,
     # so an offset of f cannot cancel their digits.  ||f|| = s ||f / s||: the
     # largest difference of f / s is 1, so E cannot underflow where a term of
-    # positive weight carries it; a weight-0 term carries none
-    d = np.where(spec._terms[2] > 0, _differences(spec, f), 0.0)
-    s = float(np.max(np.abs(d)))
+    # positive weight carries it; a weight-0 term carries none.  s = 0 is
+    # the kernel
+    d = _energy_differences(spec, f)
+    s = float(np.max(np.abs(d), initial=0.0))
+    if s == 0.0:
+        return 0.0
     d = d / s
     return s * _scale_root(lambda t: _term_sum(spec, d / t) / r, _term_sum(spec, d) / r,
                            (spec.min_exponent, spec.max_exponent), 1e-15)
@@ -177,15 +163,18 @@ def convex_conjugate(spec: EnergySpec, phi, x0=None) -> ConjugateResult:
     """E*(phi) = sup_x <phi, x>_mu - E(x).
 
     Divergence (+inf) happens exactly when phi pairs nontrivially with the
-    kernel of E, spanned by the indicators of the free components; that is
-    checked analytically.  Otherwise the maximizer solves E'(x) = phi: the
+    kernel of E, spanned by the indicators of the free components: when the
+    mass of mu phi on one of them does not cancel, to 1e-12 of that mass's
+    own size (rounding in a phi built to cancel, as in ``duality_recover``,
+    stays below it).  Otherwise the maximizer solves E'(x) = phi: the
     shifted-energy core at alpha = 0, however large the maximizer is.
     """
     phi = spec.space.check_field(phi)
     x0 = None if x0 is None else spec.space.check_field(x0)
-    scale = max(1.0, float(np.max(np.abs(phi), initial=0.0)))
     for comp in spec.free_components:
-        if abs(np.sum(spec.space.mu[comp] * phi[comp])) > 1e-12 * scale * spec.space.total_mass():
+        mass = spec.space.mu[comp] * phi[comp]
+        pairing = abs(np.sum(mass))  # past any cancellation once it overflows
+        if pairing == math.inf or pairing > 1e-12 * np.sum(np.abs(mass)):
             return ConjugateResult(math.inf, None, True)
 
     x, report = _solve_shifted(spec, 0.0, phi, None, None, x0, _CONJUGATE_CFG)

@@ -44,7 +44,6 @@ EXCESSIVE_ALPHAS = (0.5, 2.0)
 EXCESSIVE_SEED = 0
 EXCESSIVE_TOL = 1e-7
 CHOQUET_TOL = 1e-6  # of the three margins of ``choquet_suite``
-POSITIVE_CAPACITY = 1e-8  # a singleton's capacity in ``capacity_zero_property`` exceeds it
 
 
 def is_excessive(spec: EnergySpec, h, cfg: ProxConfig = ProxConfig()):
@@ -118,7 +117,6 @@ class CapacityResult:
     value: float
     equilibrium: np.ndarray
     report: SolveReport
-    h_ref: np.ndarray
 
 
 def equilibrium_potential(
@@ -139,7 +137,7 @@ def equilibrium_potential(
     mask = spec.space.indicator(O)
     if not O:
         zero = np.zeros(spec.space.n)
-        return CapacityResult(0.0, zero, SolveReport(0, 0.0, True), h)
+        return CapacityResult(0.0, zero, SolveReport(0, 0.0, True))
 
     envelope, report = excessive_envelope(spec, h, O, cfg)
     _require_converged("obstacle solve", envelope, report, cfg)
@@ -157,7 +155,7 @@ def equilibrium_potential(
         raise InternalCheckError("one-sided optimality failed (ascent direction)")
     if np.any(d[free & ~mask] > DERIVATIVE_TOL):
         raise InternalCheckError("one-sided optimality failed off the target set")
-    return CapacityResult(float(value), e, report, h)
+    return CapacityResult(float(value), e, report)
 
 
 def capacity(
@@ -247,7 +245,7 @@ def choquet_suite(spec: EnergySpec, h, family, cfg: ProxConfig = ProxConfig()):
 
 def capacity_zero_property(spec: EnergySpec, h, cfg: ProxConfig = ProxConfig()):
     """At finite scale only the empty set is exceptional: cap of the empty
-    set is 0 and every singleton has capacity above ``POSITIVE_CAPACITY``."""
+    set is 0 and every singleton has capacity > 0, at any scale of E."""
     h = spec.space.check_field(h)
     if not np.all(h > 0):
         raise ParameterError("capacity_zero_property requires h > 0")
@@ -258,7 +256,7 @@ def capacity_zero_property(spec: EnergySpec, h, cfg: ProxConfig = ProxConfig()):
     values = {}
     for p in spec.space.points:
         values[p] = capacity(spec, {p}, h, cfg, cross_check=False).value
-    ok = all(v > POSITIVE_CAPACITY for v in values.values())
+    ok = all(v > 0.0 for v in values.values())
     return ok, values
 
 

@@ -271,13 +271,5 @@ def make_envelope(command: str, problem: ProblemFile, seed: int, **results) -> d
 
 
 def envelope_to_json(envelope: dict) -> str:
-    def default(obj):
-        if isinstance(obj, np.ndarray):
-            return [float(v) for v in obj]
-        if isinstance(obj, (np.floating, np.integer)):
-            return float(obj)
-        if isinstance(obj, frozenset):
-            return sorted(obj)
-        raise TypeError(f"not JSON serializable: {type(obj)}")
-
-    return json.dumps(envelope, indent=2, sort_keys=True, default=default) + "\n"
+    """The envelope's JSON text; every result value is a plain Python value."""
+    return json.dumps(envelope, indent=2, sort_keys=True) + "\n"

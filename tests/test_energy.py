@@ -204,10 +204,14 @@ def test_components_match_networkx(seed):
 
 
 def test_contraction_battery_valid():
+    # C(0) = 0 and |C(a) - C(b)| <= |a - b|, spot-checked on random pairs
     battery = contraction_battery(seed=0)
     assert len(battery) == 31
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(scale=10.0, size=(2, 200))
     for C in battery:
-        C.validate(rng=0)
+        assert C(0.0) == 0.0, C
+        assert np.all(np.abs(C(a) - C(b)) <= np.abs(a - b) + 1e-12), C
 
 
 def test_contraction_constructor_validation():
@@ -219,6 +223,25 @@ def test_contraction_constructor_validation():
         NormalContraction.piecewise_linear([0.0], [2.0, 0.0])
     with pytest.raises(ParameterError):
         NormalContraction.piecewise_linear([1.0, 0.0], [0.5, 0.5, 0.5])
+    # a knot at infinity would put inf - inf = nan into the table
+    with pytest.raises(ParameterError):
+        NormalContraction.clamp(math.inf)
+    with pytest.raises(ParameterError):
+        NormalContraction.scale(math.nan)
+
+
+def test_named_contractions_are_their_closed_forms():
+    # each slope table equals the closed form bit for bit, near 0 and at
+    # radii up to the largest float
+    t = np.random.default_rng(0).normal(scale=10.0, size=1000)
+    t = np.concatenate((t, 1e-300 * t, 1e300 * t))
+    for r in (0.0, 0.5, 10.0, 1e308):
+        assert np.array_equal(NormalContraction.clamp(r)(t), np.clip(t, -r, r)), r
+        assert np.array_equal(NormalContraction.deadzone(r)(t),
+                              np.sign(t) * np.maximum(np.abs(t) - r, 0.0)), r
+    assert np.array_equal(NormalContraction.abs()(t), np.abs(t))
+    for lam in (-1.0, -0.5, 0.0, 0.5, 1.0):
+        assert np.array_equal(NormalContraction.scale(lam)(t), lam * t), lam
 
 
 def test_piecewise_linear_scalar_and_anchor():

@@ -133,10 +133,14 @@ def test_norm_where_the_energy_underflows():
     spec = two_vertex_spec(p=40.0)
     f = np.array([0.0, 1e-11])
     assert energy(spec, f) == 0.0
-    assert luxemburg_norm(spec, f) == pytest.approx(1e-11 / 40.0 ** (1 / 40), rel=1e-12)
+    assert luxemburg_norm(spec, f) == pytest.approx(
+        1e-11 / 40.0 ** (1 / 40), rel=1e-12, abs=0
+    )
     # the same on an offset: E(f / max|f|) underflows as well
     f = np.array([1.0, 1.0 + 2.0**-30])
-    assert luxemburg_norm(spec, f) == pytest.approx(2.0**-30 / 40.0 ** (1 / 40), rel=1e-12)
+    assert luxemburg_norm(spec, f) == pytest.approx(
+        2.0**-30 / 40.0 ** (1 / 40), rel=1e-12, abs=0
+    )
 
 
 def test_mixed_exponent_norm_on_a_large_offset():
@@ -234,12 +238,14 @@ def test_conjugate_closed_form_quadratic():
 
 
 def test_conjugate_diverges_on_kernel_pairing():
+    # at every scale t of phi: the pairing with the kernel does not cancel
     spec = two_vertex_spec()
-    res = convex_conjugate(spec, np.array([1.0, 1.0]))
-    assert res.diverged and math.isinf(res.value)
-    # orthogonal to the kernel: finite
-    res2 = convex_conjugate(spec, np.array([1.0, -1.0]))
-    assert not res2.diverged and math.isfinite(res2.value)
+    for t in (1.0, 1e-13, 1e-300):
+        res = convex_conjugate(spec, t * np.array([1.0, 1.0]))
+        assert res.diverged and math.isinf(res.value), t
+        # orthogonal to the kernel: finite
+        res2 = convex_conjugate(spec, t * np.array([1.0, -1.0]))
+        assert not res2.diverged and math.isfinite(res2.value), t
 
 
 def test_conjugate_is_finite_past_any_magnitude():

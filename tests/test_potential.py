@@ -9,6 +9,7 @@ from dirichletforms import (
     EnergySpec,
     InfeasibleError,
     InternalCheckError,
+    KillTerm,
     MeasureSpace,
     NonConvergenceError,
     ParameterError,
@@ -348,11 +349,22 @@ def test_choquet_suite_lists_a_solver_failure(monkeypatch):
     assert report["pass"] is False
 
 
+def _scaled_path(c):
+    """The path a-b-c-d with a kill term at a, every weight and kappa c."""
+    space = MeasureSpace(("a", "b", "c", "d"), np.ones(4))
+    edges = tuple(Edge(u, v, c, 2.0) for u, v in ("ab", "bc", "cd"))
+    return EnergySpec(space, edges, (KillTerm("a", c, 2.0),))
+
+
 def test_capacity_zero_property():
     spec = random_connected_spec(4, seed=7, n_kill=2)
     ok, values = capacity_zero_property(spec, np.ones(4))
     assert ok
     assert all(v > 0 for v in values.values())
+    # only the empty set is exceptional, at every scale c of E
+    for c in (1.0, 1e-9, 1e-100):
+        ok, values = capacity_zero_property(_scaled_path(c), np.ones(4))
+        assert ok and all(v > 0 for v in values.values()), c
     crit = random_connected_spec(4, seed=7)
     with pytest.raises(ParameterError):
         capacity_zero_property(crit, np.ones(4))
@@ -373,14 +385,16 @@ def _cap_of(spec, point):
 
 
 def test_binary_tree_capacity_oracle():
-    # leaves at depth k on the boundary: the drop across each of the 2^j
-    # edges of level j is proportional to 2^(-j/(p-1)), which gives
-    # cap({root}) = (1/p) S^(1-p) with S = sum(2^(-j/(p-1)), j=1..k); at
-    # p = 2, S is the effective resistance
-    for p, depth in itertools.product((1.5, 2.0, 3.0), (1, 2, 3, 4, 10)):
-        S = sum(2.0 ** (-j / (p - 1.0)) for j in range(1, depth + 1))
-        cap = _cap_of(tree_spec(2, depth, p), "0")
-        assert cap == pytest.approx(S ** (1.0 - p) / p, rel=1e-10), (p, depth)
+    # the b-ary tree with its leaves at depth k on the boundary: each of the
+    # b^j edges of level j carries 1/b^j of the flux, so the drop across it
+    # is proportional to b^(-j/(p-1)), which gives cap({root}) =
+    # (1/p) S^(1-p) with S = sum(b^(-j/(p-1)), j=1..k); at p = 2, S is the
+    # effective resistance
+    trees = [(2, depth) for depth in (1, 2, 3, 4, 10)] + [(3, 8), (4, 6), (10, 4)]
+    for p, (b, depth) in itertools.product((1.5, 2.0, 3.0), trees):
+        S = sum(float(b) ** (-j / (p - 1.0)) for j in range(1, depth + 1))
+        cap = _cap_of(tree_spec(b, depth, p), "0")
+        assert cap == pytest.approx(S ** (1.0 - p) / p, rel=1e-10), (p, b, depth)
 
 
 def test_exhaustion_profile_decays():

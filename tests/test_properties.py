@@ -1,6 +1,6 @@
-"""Property tests for the homogeneity laws of the Luxemburg seminorm and K-tilde,
-for the problem-file parser's error contract and for the bytes of its normal
-form.
+"""Property tests for the homogeneity laws of the Luxemburg seminorm, its kernel
+and K-tilde, for the problem-file parser's error contract and for the bytes of
+its normal form.
 
 Specs come from the ``conftest`` path, grid and random generators with at
 most 200 points; the hypothesis profile registered in ``conftest`` makes
@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from dirichletforms import (
     LuxemburgQuery,
     hardy_optimal_constant,
+    in_kernel,
     luxemburg_family_check,
     luxemburg_norm,
 )
@@ -56,14 +57,18 @@ def _field(spec, seed):
     return spec.project_feasible(np.random.default_rng(seed).normal(size=spec.space.n))
 
 
-@given(specs(), st.integers(0, 2**16), st.floats(1e-3, 1e3), st.booleans(), st.floats(0.1, 10.0))
-def test_luxemburg_norm_is_absolutely_homogeneous(spec, seed, t, negate, r):
-    # ||t f||_{L,r} = |t| ||f||_{L,r}
+@given(specs(), st.integers(0, 2**16), st.floats(-200.0, 200.0), st.booleans(),
+       st.floats(0.1, 10.0))
+def test_luxemburg_norm_is_absolutely_homogeneous(spec, seed, e, negate, r):
+    # ||t f||_{L,r} = |t| ||f||_{L,r}, and t f is in the kernel exactly when
+    # f is, at every scale t = +-10^e; abs=0, so that a 0 returned for a
+    # tiny norm fails
     f = _field(spec, seed)
-    t = -t if negate else t
+    t = -(10.0**e) if negate else 10.0**e
     q = LuxemburgQuery(r=r)
+    assert in_kernel(spec, t * f) == in_kernel(spec, f)
     assert luxemburg_norm(spec, t * f, q) == pytest.approx(
-        abs(t) * luxemburg_norm(spec, f, q), rel=1e-12
+        abs(t) * luxemburg_norm(spec, f, q), rel=1e-12, abs=0
     )
 
 
