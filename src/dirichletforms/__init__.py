@@ -56,7 +56,6 @@ from .potential import (
     capacity,
     capacity_zero_property,
     choquet_suite,
-    equilibrium_potential,
     excessive_envelope,
     exhaustion_capacity_profile,
     is_excessive,

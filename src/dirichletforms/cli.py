@@ -112,7 +112,7 @@ def _capacity(args, spec, cfg) -> dict:
         "capacity": res.value,
         "target": sorted(target),
         "equilibrium": spec.space.as_dict(res.equilibrium),
-        "alternative_value": res.report.extras.get("alternative_value"),
+        "lower_bound": res.lower_bound,
     }
 
 

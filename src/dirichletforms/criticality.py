@@ -17,7 +17,7 @@ import numpy as np
 from .energy import EnergySpec, energy
 from .errors import InconclusiveError, InternalCheckError, NonConvergenceError, ParameterError
 from .modular import _luxemburg, _scale_root
-from .potential import equilibrium_potential
+from .potential import capacity
 from .resolvent import ProxConfig, green, perturb, prox
 from .space import weighted_lp_norm
 
@@ -355,7 +355,7 @@ def _profile_battery(spec: EnergySpec, rng, budget: int):
             k = rng.integers(1, max(2, len(pts)))
             O = set(rng.choice(pts, size=int(k), replace=False))
             try:
-                res = equilibrium_potential(spec, O, ones)
+                res = capacity(spec, O, ones)
             except NonConvergenceError:  # the battery only ends early
                 break
             battery.append(res.equilibrium)

@@ -41,7 +41,7 @@ class InternalCheckError(DirichletFormError):
     """A result failed one of the package's own consistency checks.
 
     Raised when a computed value breaks a law it must obey (an equilibrium
-    potential leaving [0, h], two capacity formulations disagreeing, a
-    Green trace decreasing along its schedule): a defect of the solvers,
-    not of the input.
+    potential leaving [0, h], a capacity whose certified gap exceeds its
+    tolerance, a Green trace decreasing along its schedule): a defect of the
+    solvers, not of the input.
     """

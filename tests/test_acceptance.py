@@ -235,16 +235,15 @@ def test_criterion_7_potential_theory():
         for A in subsets:
             if not A:
                 continue
-            res = df.capacity(spec, A, h)  # cross-checks the alternative formula
+            res = df.capacity(spec, A, h)  # one obstacle solve, with its certified bracket
             e = res.equilibrium
             mask = np.array([p in A for p in pts])
             ok &= bool(np.all(e >= -1e-8) and np.all(e <= h + 1e-8))
             ok &= bool(np.all(np.abs(e[mask] - 1.0) <= 1e-8))
-            alt = res.report.extras["alternative_value"]
-            ok &= abs(alt - res.value) <= 1e-6 * max(1.0, res.value)
+            ok &= 0.0 <= res.value - res.lower_bound <= 1e-12 * max(1.0, res.value)
         # spot-check excessivity of a few equilibrium potentials
         for A in (frozenset({pts[0]}), frozenset(pts[:2])):
-            e = df.equilibrium_potential(spec, A, h).equilibrium
+            e = df.capacity(spec, A, h).equilibrium
             ok &= df.is_excessive(spec, np.clip(e, 0.0, None))[0]
         if not ok:
             failures.append(trial)
@@ -279,7 +278,7 @@ def test_criterion_9_path_exhaustion():
     worst = 0.0
     for n in range(2, 65):
         spec = path_spec(n)
-        value = df.capacity(spec, {"0"}, np.ones(n + 1), cross_check=False).value
+        value = df.capacity(spec, {"0"}, np.ones(n + 1)).value
         worst = max(worst, abs(value - 1.0 / (2.0 * n)))
     _report(
         9,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dirichletforms import StructuralError, prox
-from dirichletforms.cli import COMMANDS, main
+from dirichletforms.cli import COMMANDS, EXIT_CODES, main
 from dirichletforms.problemio import (
     ProblemFile,
     input_digest,
@@ -213,10 +213,12 @@ def test_resolvent_delegates_to_library(problem_path, capsys):
 def test_csv_witness_table(problem_path, tmp_path, capsys):
     csv_path = tmp_path / "out.csv"
     assert main(["capacity", problem_path, "--set", "a", "--csv", str(csv_path)]) == 0
-    capsys.readouterr()
+    result = json.loads(capsys.readouterr().out)["result"]
     rows = csv_path.read_text().strip().splitlines()
     assert rows[0] == "table,point,value"
     assert len(rows) == 4  # one equilibrium row per point
+    assert result["lower_bound"] <= result["capacity"]
+    assert "alternative_value" not in result
 
 
 @pytest.mark.parametrize(
@@ -270,6 +272,13 @@ def test_readme_flag_table_matches_the_command_table():
         name: list(command.flags) + (["--csv PATH"] if command.tables else [])
         for name, command in COMMANDS.items()
     }
+
+
+def test_readme_exit_codes_match_the_exit_table():
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    for _, code, prefix in EXIT_CODES:
+        if code >= 3:
+            assert f"`{code}` {prefix}" in readme, (code, prefix)
 
 
 def test_exit_usage_on_bad_file(tmp_path, capsys):

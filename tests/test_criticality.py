@@ -334,7 +334,7 @@ def test_profile_battery_raises_solver_defects(monkeypatch):
     def defect(*args, **kwargs):
         raise InternalCheckError("one-sided optimality failed (ascent direction)")
 
-    monkeypatch.setattr(criticality, "equilibrium_potential", defect)
+    monkeypatch.setattr(criticality, "capacity", defect)
     with pytest.raises(InternalCheckError, match="ascent direction"):
         weak_hardy_profile(spec, np.ones(6), 2.0, [0.1, 1.0])
 
@@ -345,7 +345,7 @@ def test_profile_battery_ends_early_on_a_missed_tolerance(monkeypatch):
     def unconverged(*args, **kwargs):
         raise NonConvergenceError("obstacle solve did not reach residual 1e-09")
 
-    monkeypatch.setattr(criticality, "equilibrium_potential", unconverged)
+    monkeypatch.setattr(criticality, "capacity", unconverged)
     profile = weak_hardy_profile(spec, np.ones(6), 2.0, [0.1, 1.0])
     assert all(a > 0 for a in profile.alpha_of_r)
 
