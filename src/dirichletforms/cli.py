@@ -92,7 +92,7 @@ def _field_from_arg(spec: EnergySpec, arg: str | None, flag: str, default=0.0):
 
 
 def _classify(args, spec, cfg) -> dict:
-    report = criticality.classify(spec, cfg, n_terms=args.terms, seed=args.seed)
+    report = criticality.classify(spec, cfg, seed=args.seed)
     result = {"verdict": report.verdict.value, "witness_pending": report.witness_pending}
     if report.hardy_weight is not None:
         result["hardy_weight"] = spec.space.as_dict(report.hardy_weight)
@@ -219,9 +219,7 @@ FLAGS = {
 }
 
 COMMANDS = {
-    "classify": Command(
-        _classify, "criticality classification", ("hardy_weight",), ("--terms",)
-    ),
+    "classify": Command(_classify, "criticality classification", ("hardy_weight",)),
     "capacity": Command(
         _capacity, "capacity of a point set", ("equilibrium",), ("--set", "--h")
     ),

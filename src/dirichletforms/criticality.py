@@ -3,7 +3,9 @@
 The central quantity is K(w) = int_X w Gw dmu (convention 0 * inf = 0).  A
 finite K(w) certifies the Hardy bound int |f| w dmu <= (1 + K(w)) ||f||_L,
 and a strictly positive weight W with K(W) <= 1 is the witness that a spec
-is subcritical.
+is subcritical.  ``classify`` takes W = g / (Gg v 1) with g = 1 / mu(X):
+G is order preserving and W <= g, so GW <= Gg and
+K(W) <= sum mu g Gg / (Gg v 1) <= ||g||_1 = 1.
 """
 
 from __future__ import annotations
@@ -146,14 +148,9 @@ def hardy_optimal_constant(
     }
 
 
-def hardy_from_green(spec: EnergySpec, g, cfg: ProxConfig = ProxConfig()) -> np.ndarray:
-    """Hardy weight w = g / (Gg v 1) from a function with finite Green value.
-
-    Checks K(w) <= ||g||_1 to ``K_TOL`` relative to max(1, ||g||_1).
-    """
-    g = spec.space.check_field(g)
-    if np.any(g < 0):
-        raise ParameterError("hardy_from_green requires g >= 0")
+def _green_weight(spec: EnergySpec, g, cfg: ProxConfig) -> tuple[np.ndarray, float]:
+    """w = g / (Gg v 1) and K(w) from a checked g >= 0; K(w) <= ||g||_1 holds
+    by the module docstring's proof, and a breach beyond ``K_TOL`` is a defect."""
     gg = green(spec, g, cfg).value
     if np.any(np.isinf(gg[g > 0])):
         raise ParameterError("hardy_from_green requires a finite Green value on {g > 0}")
@@ -163,7 +160,18 @@ def hardy_from_green(spec: EnergySpec, g, cfg: ProxConfig = ProxConfig()) -> np.
     bound = spec.space.l1_norm(g)
     if K > bound + K_TOL * max(1.0, bound):
         raise InternalCheckError(f"K(w)={K} exceeds ||g||_1={bound}")
-    return w
+    return w, K
+
+
+def hardy_from_green(spec: EnergySpec, g, cfg: ProxConfig = ProxConfig()) -> np.ndarray:
+    """Hardy weight w = g / (Gg v 1) from a function with finite Green value.
+
+    Checks K(w) <= ||g||_1 to ``K_TOL`` relative to max(1, ||g||_1).
+    """
+    g = spec.space.check_field(g)
+    if np.any(g < 0):
+        raise ParameterError("hardy_from_green requires g >= 0")
+    return _green_weight(spec, g, cfg)[0]
 
 
 def synthesize_hardy_weight(
@@ -278,7 +286,6 @@ def _nontrivial_invariant_set(spec: EnergySpec) -> frozenset[str] | None:
 def classify(
     spec: EnergySpec,
     cfg: ProxConfig = ProxConfig(),
-    n_terms: int = 20,
     seed: int = 0,
 ) -> CriticalityReport:
     """Critical / Subcritical / Reducible with a matching witness.
@@ -287,8 +294,11 @@ def classify(
     Critical: those points form a free component (no kill, no boundary),
     whose indicator spans the kernel of E; the diagnostics keep
     E(lambda * 1_kernel) for lambda = 1, 2, 4, ..., 2^16.  Otherwise
-    subcritical, witnessed by a strictly positive Hardy weight W with
-    K(W) <= 1.
+    subcritical, witnessed by the Hardy weight W = g / (Gg v 1) with
+    g = 1 / mu(X): W > 0, and G is order preserving with W <= g, so
+    K(W) <= sum mu g Gg / (Gg v 1) <= ||g||_1 = 1.  The diagnostics keep
+    K_witness = K(W); a Green schedule that runs out leaves the witness
+    pending.
     """
     diagnostics: dict = {}
     A = _nontrivial_invariant_set(spec)
@@ -308,27 +318,16 @@ def classify(
             Verdict.CRITICAL, kernel_scales=scales, diagnostics=diagnostics
         )
 
-    # subcritical: build the series witness, rescale to K(W) <= 1
-    seed_w = np.ones(spec.space.n) / spec.space.total_mass()
+    # subcritical: no free component, so Gg is finite for g = 1 / mu(X)
+    g = np.ones(spec.space.n) / spec.space.total_mass()
     try:
-        W = synthesize_hardy_weight(spec, seed_w, n_terms=n_terms, cfg=cfg)
-        if not np.all(W > 0):
-            W = hardy_from_green(spec, seed_w, cfg)
-        K = K_of(spec, W, cfg)
-        diagnostics["K_raw"] = K
-        if K > 1.0:
-            diagnostics["rescale"] = _unit_K_scale(spec, W, K, cfg)
-            W = W / diagnostics["rescale"]
-            K = K_of(spec, W, cfg)
-        diagnostics["K_witness"] = K
-        return CriticalityReport(
-            Verdict.SUBCRITICAL, hardy_weight=W, diagnostics=diagnostics
-        )
+        W, diagnostics["K_witness"] = _green_weight(spec, g, cfg)
     except InconclusiveError as exc:
         diagnostics["witness_error"] = str(exc)
         return CriticalityReport(
             Verdict.SUBCRITICAL, witness_pending=True, diagnostics=diagnostics
         )
+    return CriticalityReport(Verdict.SUBCRITICAL, hardy_weight=W, diagnostics=diagnostics)
 
 
 @dataclass

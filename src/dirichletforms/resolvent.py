@@ -94,9 +94,6 @@ _CG_MAX_ITER = 500
 # the linear solves of one ``_solve_shifted`` call, in its report's extras
 _LINEAR_TALLY = ("dense", "splu", "cg", "cg_iterations", "cg_fallbacks")
 
-# a coordinate within this distance of a bound counts as on it
-_BOUND_TOL = 1e-12
-
 MARKOV_TOL = 1e-7  # of the margins of ``markov_property_checks``
 
 
@@ -211,7 +208,6 @@ def _solve_shifted(
     hi[spec.boundary_mask] = 0.0
     if np.any(lo > hi):
         raise InfeasibleError("constraint box is empty on the boundary")
-    lo_in, hi_in = lo + _BOUND_TOL, hi - _BOUND_TOL
     # with no bound off the boundary, projection and clipping change nothing
     free_mask = spec.free_mask
     boxed = bool(np.isfinite(lo[free_mask]).any() or np.isfinite(hi[free_mask]).any())
@@ -222,11 +218,12 @@ def _solve_shifted(
 
     def projected(g):
         # mu-representation of the objective gradient, zero on the boundary
-        # and where a bound holds the coordinate
+        # and where a bound holds the coordinate (every iterate is clipped,
+        # so a held coordinate sits exactly on its bound)
         r = _gradient(spec, g) + alpha * g - f
         r[spec.boundary_mask] = 0.0
         if boxed:
-            r[((g <= lo_in) & (r > 0)) | ((g >= hi_in) & (r < 0))] = 0.0
+            r[((g <= lo) & (r > 0)) | ((g >= hi) & (r < 0))] = 0.0
         return r, math.sqrt(float(np.sum(mu * r * r)))
 
     def objective(g):
@@ -258,7 +255,7 @@ def _solve_shifted(
     while it < cfg.max_iterations and (rnorm > tol or (alpha <= 0 and step > tol)):
         free = free_mask
         if boxed:
-            free = free & ((r != 0) | ((g > lo_in) & (g < hi_in)))
+            free = free & ((r != 0) | ((g > lo) & (g < hi)))
         delta = _newton_direction(spec, g, shift, free, -(mu * r), linear)
         if delta is None or not np.isfinite(delta).all():
             # a singular or overflowed block: the shift's own Newton step

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dirichletforms import StructuralError, prox
-from dirichletforms.cli import COMMANDS, EXIT_CODES, main
+from dirichletforms.cli import COMMANDS, EXIT_CODES, FLAGS, main
 from dirichletforms.problemio import (
     ProblemFile,
     input_digest,
@@ -252,6 +252,7 @@ def test_csv_rows_equal_the_envelope_tables(argv, tables, problem_path, tmp_path
         ["verify", "--alpha0", "2.0"],
         ["capacity", "--set", "a", "--terms", "3"],
         ["green", "--field", "1", "--divergence-threshold", "1e8"],
+        ["classify", "--terms", "3"],
     ],
 )
 def test_a_command_rejects_a_flag_it_does_not_read(argv, problem_path, capsys):
@@ -259,6 +260,11 @@ def test_a_command_rejects_a_flag_it_does_not_read(argv, problem_path, capsys):
         main([argv[0], problem_path, *argv[1:]])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_every_flag_is_read_by_some_command():
+    read = {flag for command in COMMANDS.values() for flag in command.flags}
+    assert set(FLAGS) <= read, set(FLAGS) - read
 
 
 def test_readme_flag_table_matches_the_command_table():

@@ -141,23 +141,6 @@ def test_one_exponent_K_tilde_is_the_closed_form(p, monkeypatch):
     assert len(calls) == 1
 
 
-def test_one_exponent_classify_rescale_is_the_closed_form(monkeypatch):
-    # a series witness with K(W) > 1 is rescaled by K(W)^{(p-1)/p}
-    spec = random_connected_spec(6, seed=4, p_range=(3.0, 3.0), n_kill=2)
-    real = criticality.synthesize_hardy_weight
-    monkeypatch.setattr(
-        criticality, "synthesize_hardy_weight", lambda *a, **kw: 50.0 * real(*a, **kw)
-    )
-    calls = _count_K_of(monkeypatch)
-    report = classify(spec)
-    K_raw = report.diagnostics["K_raw"]
-    assert K_raw > 1.0
-    assert report.diagnostics["rescale"] == pytest.approx(K_raw ** (2.0 / 3.0), rel=1e-14)
-    assert report.diagnostics["K_witness"] == pytest.approx(1.0, rel=1e-8)
-    # K(W) and K(W / rescale); none for the rescale itself
-    assert len(calls) == 2
-
-
 def test_hardy_from_green_bound():
     spec = random_connected_spec(5, seed=1, n_kill=2)
     rng = np.random.default_rng(1)
@@ -232,9 +215,9 @@ def test_classify_subcritical_with_sound_witness():
     assert K_of(spec, W) <= 1.0 + 1e-6
 
 
-def test_classify_reuses_K_raw_without_a_rescale(monkeypatch):
-    # K(W) <= 1 needs no rescale, so the witness's K is K_raw, not a second
-    # Green value; and a subcritical spec evaluates no kernel energies
+def test_a_subcritical_witness_is_two_green_values_on_the_spec(monkeypatch):
+    # W = g / (Gg v 1) takes Gg, and K(W) takes GW, both on the spec itself;
+    # a subcritical spec evaluates no kernel energies
     spec = random_connected_spec(6, seed=4, n_kill=2)
     real, on_spec = criticality.green, []
 
@@ -245,11 +228,9 @@ def test_classify_reuses_K_raw_without_a_rescale(monkeypatch):
     monkeypatch.setattr(criticality, "green", counting)
     report = classify(spec)
     assert report.verdict is Verdict.SUBCRITICAL
-    assert report.diagnostics["K_raw"] <= 1.0 and "rescale" not in report.diagnostics
-    assert report.diagnostics["K_witness"] == report.diagnostics["K_raw"]
-    assert "kernel_energies" not in report.diagnostics
-    # the series terms solve on perturbed specs; K(W) is the one Green value on spec
-    assert sum(on_spec) == 1
+    assert list(report.diagnostics) == ["K_witness"]
+    assert report.diagnostics["K_witness"] <= 1.0
+    assert on_spec == [True, True]
 
 
 def test_classify_free_component_beside_an_isolated_boundary_point():

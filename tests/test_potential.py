@@ -463,6 +463,32 @@ def test_z1_box_capacity_closed_form(p, R):
     _assert_brackets(res, 2.0 / p * R ** (1.0 - p))
 
 
+# 25x the closed form after 1 iteration, lower bound -50x; and 8.05x, lower
+# bound -72.9x: the core stops on its absolute residual, and the gap gate
+# VALUE_TOL * max(1, value) is absolute below 1
+_SMALL_OBSTACLE = pytest.mark.xfail(
+    strict=True, reason="FOUND: absolute stop test and max(1, value) gate; ROADMAP items 13/15"
+)
+
+
+@pytest.mark.parametrize(
+    "R, t",
+    [
+        (10, 1e-4),
+        (20, 1e-2),
+        pytest.param(10, 1e-6, marks=_SMALL_OBSTACLE),
+        pytest.param(20, 1e-4, marks=_SMALL_OBSTACLE),
+    ],
+)
+def test_z1_box_capacity_scales_with_the_obstacle(R, t):
+    # cap_{t h} = t^p cap_h, so the obstacle t * 1 gives t^p (2/p) R^{1-p}
+    p = 3.0
+    spec = box_spec(1, R, p)
+    res = capacity(spec, {"0"}, t * np.ones(spec.space.n))
+    assert res.value == pytest.approx(t**p * 2.0 / p * R ** (1.0 - p), rel=1e-10)
+    assert res.value - res.lower_bound <= 1e-10 * res.value
+
+
 def _z2_profile(p):
     family = [(R, box_spec(2, R, p), {"0,0"}) for R in (5, 10, 20)]
     return [value for _, value in exhaustion_capacity_profile(family)]

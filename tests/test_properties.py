@@ -1,6 +1,6 @@
 """Property tests for the homogeneity laws of the Luxemburg seminorm, its kernel
-and K-tilde, for the problem-file parser's error contract and for the bytes of
-its normal form.
+and K-tilde, for the Hardy weight that witnesses subcriticality, for the
+problem-file parser's error contract and for the bytes of its normal form.
 
 Specs come from the ``conftest`` path, grid and random generators with at
 most 200 points; the hypothesis profile registered in ``conftest`` makes
@@ -20,7 +20,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from dirichletforms import (
+    K_of,
     LuxemburgQuery,
+    Verdict,
+    classify,
     hardy_optimal_constant,
     in_kernel,
     luxemburg_family_check,
@@ -96,6 +99,21 @@ def test_one_exponent_K_tilde_is_homogeneous(spec, seed, t):
     base = hardy_optimal_constant(spec, w, search_budget=0)["K_tilde"]
     scaled = hardy_optimal_constant(spec, t * w, search_budget=0)["K_tilde"]
     assert scaled == pytest.approx(t * base, rel=1e-8)
+
+
+@settings(max_examples=40)
+@given(specs(max_points=60, subcritical=True))
+def test_the_classify_witness_is_a_green_weight(spec):
+    # W = g / (Gg v 1) with g = 1 / mu(X): 0 < W <= g, and K(W) <= ||g||_1 = 1
+    report = classify(spec)
+    if report.verdict is not Verdict.SUBCRITICAL:
+        return  # the grid family can draw reducible specs
+    assert not report.witness_pending
+    W, g = report.hardy_weight, 1.0 / spec.space.total_mass()
+    assert np.all(W > 0) and np.all(W <= g)
+    K = report.diagnostics["K_witness"]
+    assert K <= 1.0 + 1e-6
+    assert K_of(spec, W) == K
 
 
 def _value_paths(node, path=()):

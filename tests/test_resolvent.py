@@ -562,6 +562,18 @@ def test_solve_shifted_box_with_both_bounds_active(alpha):
     assert np.any(at_lo & (r > 1e-6)) and np.any(at_hi & (r < -1e-6))
 
 
+def test_a_box_narrower_than_rounding_is_solved():
+    # f = 1 pushes every free point up to hi = 1e-13; a coordinate counts as
+    # held only when it sits on its bound, however narrow the box
+    spec = random_connected_spec(12, seed=5, n_kill=2, n_boundary=1)
+    n = spec.space.n
+    f = spec.project_feasible(np.ones(n))
+    hi = np.full(n, 1e-13)
+    g, report = _solve_shifted(spec, 1.0, f, np.zeros(n), hi, None, CFG)
+    assert report.converged and report.iterations >= 1
+    assert np.all(g[spec.free_mask] == hi[spec.free_mask])
+
+
 def test_solve_shifted_bounds_the_error_where_e_is_flat():
     # E = |a - b|^3 / 3 with a held at 1: the minimizer is b = 1, where the
     # Hessian vanishes, so the residual (b - 1)^2 reads 1e-9 at an error of
