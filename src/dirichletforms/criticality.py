@@ -292,8 +292,8 @@ def classify(
 
     Reducible: a nontrivial invariant set among the non-boundary points.
     Critical: those points form a free component (no kill, no boundary),
-    whose indicator spans the kernel of E; the diagnostics keep
-    E(lambda * 1_kernel) for lambda = 1, 2, 4, ..., 2^16.  Otherwise
+    whose indicator spans the kernel of E, reported with the scales
+    lambda = 1, 2, 4, ..., 2^16 of lambda * 1_kernel.  Otherwise
     subcritical, witnessed by the Hardy weight W = g / (Gg v 1) with
     g = 1 / mu(X): W > 0, and G is order preserving with W <= g, so
     K(W) <= sum mu g Gg / (Gg v 1) <= ||g||_1 = 1.  The diagnostics keep
@@ -312,11 +312,7 @@ def classify(
     # the non-boundary points are connected here, so a free component, if
     # there is one, is all of them: the kernel is spanned by the free mask
     if spec.free_components:
-        scales = [2.0**k for k in range(17)]
-        diagnostics["kernel_energies"] = [energy(spec, lam * spec.free_mask) for lam in scales]
-        return CriticalityReport(
-            Verdict.CRITICAL, kernel_scales=scales, diagnostics=diagnostics
-        )
+        return CriticalityReport(Verdict.CRITICAL, kernel_scales=[2.0**k for k in range(17)])
 
     # subcritical: no free component, so Gg is finite for g = 1 / mu(X)
     g = np.ones(spec.space.n) / spec.space.total_mass()

@@ -25,10 +25,16 @@ The records of ``edges`` and ``kill`` are read as one column per key, and
 each column is checked whole; only a column that fails is scanned record by
 record, to name the first bad one.
 
-``serialize(parse(text))`` is a normal form: parsing it again yields an
-identical structure.  A fixed-schema emitter writes it from the columns,
-and its bytes equal ``json.dumps(doc, indent=2)`` of the same document;
-``input_digest`` is the SHA-256 of those bytes.
+``input_digest`` is the SHA-256 of what ``parse_problem`` checked, read
+from the spec it built, in one fixed byte layout: a little-endian int64
+header ``[n, edge rows, term rows, len(version), len(name) for each
+point]``; the version and the point names in UTF-8 (``surrogatepass``, as
+JSON may escape a lone surrogate); mu as ``<f8``; the term table's columns
+``(u, v, w, p, m)``, ints as ``<i8`` and floats as ``<f8``; the boundary
+mask, one byte per point; and ``json.dumps`` of ``defaults`` with sorted
+keys and ``tol`` a float.  The header's counts come first, so no two
+problems share the bytes.  Layout, key order, omitted record defaults and
+``1`` against ``1.0`` leave the digest as it is.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -206,57 +211,27 @@ def parse_problem(text: str) -> ProblemFile:
         problem.spec = problem.to_energy_spec()
     except ParameterError as exc:
         raise StructuralError(str(exc)) from exc
-    problem.boundary = [points[i] for i in np.flatnonzero(problem.spec.boundary_mask)]
     return problem
 
 
-def _tokens(numbers: list[float]) -> list[str]:
-    """The JSON token of each number, as the encoder writes it."""
-    return json.dumps(numbers)[1:-1].split(", ") if numbers else []
-
-
-def _block(brackets: str, items: list[str], depth: int) -> str:
-    """A list or object of the JSON texts ``items`` at nesting ``depth``, laid
-    out as ``json.dumps(..., indent=2)`` lays it out."""
-    if not items:
-        return brackets
-    pad = "\n" + "  " * (depth + 1)
-    return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
-
-
-def _records(section: str, columns: tuple[list, ...], names: dict[str, str]) -> str:
-    """The ``section`` list: one ``%`` template per record, filled from one
-    token column per key."""
-    keys = _RECORDS[section][1]
-    template = _block("{}", [f"{encode_basestring_ascii(k)}: %s" for k in keys], 2)
-    tokens = [
-        list(map(names.__getitem__, column)) if default is None else _tokens(column)
-        for column, default in zip(columns, keys.values())
-    ]
-    return _block("[]", list(map(template.__mod__, zip(*tokens))), 1)
-
-
-def serialize_problem(problem: ProblemFile) -> str:
-    """The normal form: ``json.dumps(doc, indent=2)`` of the problem, written
-    from its columns with every point name encoded once."""
-    names = dict(zip(problem.points, map(encode_basestring_ascii, problem.points)))
-    points = list(map(names.__getitem__, problem.points))
-    mu = list(map("%s: %s".__mod__, zip(points, _tokens(problem.mu))))
-    space = [f'"points": {_block("[]", points, 2)}', f'"mu": {_block("{}", mu, 2)}']
-    sections = [
-        f'"version": {json.dumps(problem.version)}',
-        f'"space": {_block("{}", space, 1)}',
-        f'"edges": {_records("edges", problem.edges, names)}',
-        f'"kill": {_records("kill", problem.kill, names)}',
-        f'"boundary": {_block("[]", list(map(names.__getitem__, problem.boundary)), 1)}',
-        # the small defaults dict goes through the encoder, one level in
-        '"defaults": ' + json.dumps(problem.defaults, indent=2).replace("\n", "\n  "),
-    ]
-    return _block("{}", sections, 0) + "\n"
-
-
 def input_digest(problem: ProblemFile) -> str:
-    return hashlib.sha256(serialize_problem(problem).encode()).hexdigest()
+    """The SHA-256 of the checked problem, in the layout of the module docstring."""
+    spec = problem.spec
+    texts = [t.encode("utf-8", "surrogatepass") for t in (problem.version, *problem.points)]
+    header = [spec.space.n, spec._edge_count, len(spec._terms[0]), *map(len, texts)]
+    defaults = dict(problem.defaults)
+    if "tol" in defaults:
+        defaults["tol"] = float(defaults["tol"])
+    parts = [
+        np.array(header, dtype="<i8").tobytes(),
+        b"".join(texts),
+        np.asarray(spec.space.mu, dtype="<f8").tobytes(),
+        *(np.asarray(c, dtype="<i8" if i < 2 else "<f8").tobytes()
+          for i, c in enumerate(spec._terms)),
+        spec.boundary_mask.astype(np.uint8).tobytes(),
+        json.dumps(defaults, sort_keys=True).encode(),
+    ]
+    return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
 def make_envelope(command: str, problem: ProblemFile, seed: int, **results) -> dict:

@@ -280,13 +280,13 @@ def central_difference_gradient(fn, f, h: float = 1e-6) -> np.ndarray:
     return g
 
 
-# -- problem-file normal form ----------------------------------------------
+# -- problem-file layout ---------------------------------------------------
 
 
 def serialize_oracle(problem) -> str:
-    """The normal form of a parsed problem file as ``json.dumps(..., indent=2)``
-    writes it, from the spec that parsing built: the oracle of
-    ``problemio.serialize_problem``."""
+    """A parsed problem file as ``json.dumps(..., indent=2)`` writes it, with
+    every default filled, from the spec that parsing built: a second layout
+    of the same problem, which must share its ``input_digest``."""
     spec = problem.spec
     points = list(spec.space.points)
     doc = {

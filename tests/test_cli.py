@@ -12,12 +12,7 @@ import pytest
 
 from dirichletforms import StructuralError, prox
 from dirichletforms.cli import COMMANDS, EXIT_CODES, FLAGS, main
-from dirichletforms.problemio import (
-    ProblemFile,
-    input_digest,
-    parse_problem,
-    serialize_problem,
-)
+from dirichletforms.problemio import ProblemFile, input_digest, parse_problem
 from conftest import serialize_oracle
 
 PROBLEM = {
@@ -43,22 +38,42 @@ def problem_path(tmp_path):
     return str(path)
 
 
-def test_roundtrip_is_normal_form(problem_path):
+def test_the_digest_ignores_the_layout(problem_path):
     with open(problem_path) as fh:
         problem = parse_problem(fh.read())
-    text = serialize_problem(problem)
-    again = parse_problem(text)
-    assert serialize_problem(again) == text
-    assert input_digest(again) == input_digest(problem)
+    assert input_digest(parse_problem(serialize_oracle(problem))) == input_digest(problem)
 
 
 def test_input_digest_is_pinned():
     # the digest is part of every answer, so its bytes must not drift
     problem = parse_problem(json.dumps(PROBLEM))
     assert input_digest(problem) == (
-        "b18b01e2037062e0718bac5b2f3ada1ce4273aae9e833b4eb42cfa1a8f47a75c"
+        "01887f2411886e85f14ae5eccb24fc6540b8eab30cacf96fde7628f630752ee6"
     )
-    assert serialize_problem(problem) == serialize_oracle(problem)
+
+
+def _digest(doc: dict) -> str:
+    return input_digest(parse_problem(json.dumps(doc)))
+
+
+def test_the_digest_ignores_the_layout_of_defaults():
+    for a, b in [
+        ({"tol": 1e-9, "max_iterations": 5}, {"max_iterations": 5, "tol": 1e-9}),
+        ({"tol": 1}, {"tol": 1.0}),
+    ]:
+        assert _digest({**PROBLEM, "defaults": a}) == _digest({**PROBLEM, "defaults": b})
+
+
+def test_the_digest_keeps_point_names_apart():
+    # both name lists join to "abc"; the length header tells them apart
+    a, b = ({"space": {"points": points}} for points in (["ab", "c"], ["a", "bc"]))
+    assert _digest(a) != _digest(b)
+
+
+def test_the_digest_takes_a_lone_surrogate():
+    # json.dumps writes the escape "\ud800", which strict UTF-8 cannot encode
+    a, b = ({"space": {"points": [name]}} for name in ("\ud800", "\ud801"))
+    assert _digest(a) != _digest(b)
 
 
 def _deep(section, bad):

@@ -1,6 +1,6 @@
 """Property tests for the homogeneity laws of the Luxemburg seminorm, its kernel
 and K-tilde, for the Hardy weight that witnesses subcriticality, for the
-problem-file parser's error contract and for the bytes of its normal form.
+problem-file parser's error contract and for the input digest.
 
 Specs come from the ``conftest`` path, grid and random generators with at
 most 200 points; the hypothesis profile registered in ``conftest`` makes
@@ -30,9 +30,9 @@ from dirichletforms import (
     luxemburg_norm,
 )
 from dirichletforms.errors import StructuralError
-from dirichletforms.problemio import ProblemFile, parse_problem, serialize_problem
+from dirichletforms.problemio import ProblemFile, input_digest, parse_problem
 from conftest import grid_spec, path_spec, random_connected_spec, serialize_oracle
-from test_cli import PROBLEM
+from test_cli import PROBLEM, _digest
 
 exponents = st.floats(1.5, 3.5)
 
@@ -198,22 +198,43 @@ def problem_docs(draw):
 
 
 def _as_floats(node):
-    """The document with every number a float: 1 and 1.0 must digest alike."""
+    """The document with every number but ``max_iterations`` a float: 1 and
+    1.0 must digest alike."""
     if isinstance(node, dict):
-        return {k: v if k == "defaults" else _as_floats(v) for k, v in node.items()}
+        return {k: v if k == "max_iterations" else _as_floats(v) for k, v in node.items()}
     if isinstance(node, list):
         return [_as_floats(v) for v in node]
     return float(node) if type(node) is int else node
 
 
+def _reversed_keys(node):
+    """The document with the keys of every object in reverse order."""
+    if isinstance(node, dict):
+        return {k: _reversed_keys(node[k]) for k in reversed(node)}
+    if isinstance(node, list):
+        return [_reversed_keys(v) for v in node]
+    return node
+
+
 @settings(max_examples=300)
 @given(problem_docs())
-def test_the_normal_form_is_the_indented_encoding(doc):
+def test_the_digest_is_the_checked_problem(doc):
     problem = parse_problem(json.dumps(doc))
-    text = serialize_problem(problem)
-    assert text == serialize_oracle(problem)
-    assert serialize_problem(parse_problem(text)) == text
-    assert serialize_problem(parse_problem(json.dumps(_as_floats(doc)))) == text
+    digest = input_digest(problem)
+    assert input_digest(parse_problem(serialize_oracle(problem))) == digest
+    assert _digest(_as_floats(doc)) == digest
+    assert _digest(_reversed_keys(doc)) == digest
+
+    changed = [{**doc, "version": doc.get("version", "1") + "x"}]
+    if doc.get("edges"):
+        first, *rest = doc["edges"]
+        changed.append({**doc, "edges": [{**first, "weight": 2 * first.get("weight", 1.0)}, *rest]})
+    if doc["space"]["points"]:
+        point, held = doc["space"]["points"][0], doc.get("boundary", [])
+        toggled = [p for p in held if p != point] if point in held else [*held, point]
+        changed.append({**doc, "boundary": toggled})
+    for other in changed:
+        assert _digest(other) != digest
 
 
 def test_a_failing_property_is_reported_as_one_failure(tmp_path):
